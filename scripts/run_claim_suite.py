@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Sweep every claim check across the distribution catalog.
 
-Writes one row per claim x distribution x time point and prints a verdict
-summary.  The sweep exercises exactly what the library computes: no claim
-is assumed, each is evaluated numerically.
+Writes one row per claim x distribution x time point, in the row format of
+``extropy claims``, and prints a verdict summary.  The sweep exercises
+exactly what the library computes: no claim is assumed, each is evaluated
+numerically.
 """
 
 import argparse
 import json
 import warnings
 
-import numpy as np
-
 from extropy import claims, measures
-from extropy.bivariate import independence_factorization_check
 from extropy.distributions import (
     beta_dist,
     exponential,
@@ -39,6 +37,8 @@ PAIRS = [
     (gamma_dist(2.0, 1.0), exponential(2.0)),
 ]
 
+CONSTANCY_GRID = [1.5, 2.0, 3.0, 5.0]
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -48,46 +48,18 @@ def main():
 
     warnings.simplefilter("ignore", RuntimeWarning)
     rows = []
-
-    for dist in MEMBERS:
-        grid = measures.default_t_grid(dist, args.points)
-        for t in grid:
-            t = float(t)
-            for name, rep in [
-                ("decomposition", measures.decomposition_check(dist, t)),
-                ("residual_bound", claims.residual_bound_check(dist, t)),
-                ("past_bound", claims.past_bound_check(
-                    dist, t, T=max(float(dist.quantile(np.asarray(0.999))),
-                                   t * (1 + 1e-9)))),
-                ("lemma1_residual", claims.lemma1_residual_check(dist, t)),
-                ("lemma1_past", claims.lemma1_past_check(dist, t)),
-            ]:
-                rows.append({"claim": name, "dist": dist.label, "t": t,
-                             "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-                             "verdict": rep.verdict, "notes": rep.notes})
-
-    for x, y in PAIRS:
-        rep = claims.sum_bound_check(x, y)
-        rows.append({"claim": "sum_bound", "dist": f"{x.label}+{y.label}",
-                     "t": None, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-                     "verdict": rep.verdict, "notes": rep.notes})
-        rep = independence_factorization_check(x, y)
-        rows.append({"claim": "independence_factorization",
-                     "dist": f"{x.label}x{y.label}", "t": None,
-                     "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-                     "verdict": rep.verdict, "notes": rep.notes})
-
-    for k in (1.0, 2.0):
-        rep = claims.constancy_explorer(pareto(k, 1.0), [1.5, 2.0, 3.0, 5.0])
-        rows.append({"claim": "constancy", "dist": rep.family_label, "t": None,
-                     "lhs": rep.spread, "rhs": 0.0, "gap": rep.spread,
-                     "verdict": "indeterminate",
-                     "notes": f"constant near {rep.reference}; {rep.notes}"})
+    for claim_id, spec in claims.CLAIMS.items():
+        if spec.pair:
+            for x, y in PAIRS:
+                rows += claims.claim_rows(claim_id, (x, y), None)
+        elif spec.t_indexed:
+            rows += claims.claim_rows(
+                claim_id, MEMBERS, lambda d: measures.default_t_grid(d, args.points))
+    rows += claims.claim_rows("constancy", [pareto(1.0, 1.0), pareto(2.0, 1.0)],
+                              lambda d: CONSTANCY_GRID)
     ode = claims.ConstancyODEFamily(1.0, 1.0)
-    rep = claims.constancy_explorer(ode, [0.5, 0.8, 1.2, 1.5])
-    rows.append({"claim": "constancy", "dist": rep.family_label, "t": None,
-                 "lhs": rep.spread, "rhs": 0.0, "gap": rep.spread,
-                 "verdict": "indeterminate", "notes": rep.notes})
+    rows.append(claims.claim_row(claims.constancy_claim(ode, [0.5, 0.8, 1.2, 1.5]),
+                                 repr(ode), None))
 
     counts = {}
     for r in rows:

@@ -23,7 +23,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import UnivariateDistribution, ValidationError, beta3, make_distribution
+from .distributions import (
+    UnivariateDistribution,
+    ValidationError,
+    _spec_params,
+    beta3,
+    make_distribution,
+)
 from .measures import MeasureValue, extropy, weighted_extropy
 from .quadrature import Integrand, integrate
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
@@ -56,17 +62,17 @@ _KINDS = {"density": (1, 0), "f2": (2, 0), "xyf2": (2, 1)}
 class BivariateDistribution:
     """Joint density with the metadata the iterated integrator needs.
 
-    ``pdf(x, y)`` takes an x ndarray and a scalar y.  ``inner_hints`` and
-    ``outer_hints`` give the analytic endpoint exponents of the inner
-    integrand (in x, at fixed y) and of the reduced outer integrand (in
-    y) for each integrand kind; None entries mean no power behaviour.
+    ``pdf_pairs(x, y)`` broadcasts x against y; the inner integral passes
+    a scalar y.  ``inner_hints`` and ``outer_hints`` give the analytic
+    endpoint exponents of the inner integrand (in x, at fixed y) and of
+    the reduced outer integrand (in y) for each integrand kind; None
+    entries mean no power behaviour.
     """
 
     kind: str
     params: Mapping[str, object]
     y_range: tuple[float, float]
     x_range: Callable[[float], tuple[float, float]]
-    pdf: Callable[[np.ndarray, float], np.ndarray]
     pdf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inner_hints: Callable[[str], tuple[float | None, float | None]]
     outer_hints: Callable[[str], tuple[float | None, float | None]]
@@ -79,14 +85,19 @@ class BivariateDistribution:
         return f"{self.kind}({inner})"
 
 
-def _exp_or_none(e: float | None) -> tuple[bool, float | None]:
-    if e is not None and e < 0.0:
-        return True, e
-    return False, None
+def _hinted_integrand(fn, lo: float, hi: float,
+                      hints: tuple[float | None, float | None]) -> Integrand:
+    """Integrand carrying the analytic endpoint exponents that matter.
 
-
-def _combined_exponent(base: float | None, add: float) -> float | None:
-    return None if base is None else base + add
+    A finite endpoint is singular when its exponent is negative; an
+    infinite one whenever it has a power tail at all.
+    """
+    e_lo, e_hi = hints
+    sing_lo = e_lo is not None and e_lo < 0.0
+    sing_hi = e_hi is not None and (math.isinf(hi) or e_hi < 0.0)
+    return Integrand(fn, lo, hi, singular_lower=sing_lo, singular_upper=sing_hi,
+                     exponent_lower=e_lo if sing_lo else None,
+                     exponent_upper=e_hi if sing_hi else None)
 
 
 # -- families ----------------------------------------------------------------
@@ -107,9 +118,6 @@ def bivariate_beta(alpha: float, beta: float, gamma: float) -> BivariateDistribu
         with np.errstate(divide="ignore", over="ignore"):
             val = xs ** (a - 1.0) * (ys - xs) ** (b - 1.0) * (1.0 - ys) ** (c - 1.0) / norm
         return np.where(inside, val, 0.0)
-
-    def pdf(x, y):
-        return pdf_pairs(x, np.full_like(np.asarray(x, dtype=float), y))
 
     def inner_hints(kind):
         p, w = _KINDS[kind]
@@ -140,8 +148,8 @@ def bivariate_beta(alpha: float, beta: float, gamma: float) -> BivariateDistribu
 
     return BivariateDistribution(
         kind="bivariate_beta", params={"alpha": a, "beta": b, "gamma": c},
-        y_range=(0.0, 1.0), x_range=lambda y: (0.0, y), pdf=pdf,
-        pdf_pairs=pdf_pairs, inner_hints=inner_hints, outer_hints=outer_hints,
+        y_range=(0.0, 1.0), x_range=lambda y: (0.0, y), pdf_pairs=pdf_pairs,
+        inner_hints=inner_hints, outer_hints=outer_hints,
         closed_forms=closed, sampler=sampler)
 
 
@@ -150,17 +158,13 @@ def product_distribution(x_dist: UnivariateDistribution,
     """Joint density of independent marginals: f(x, y) = fX(x) fY(y)."""
     fx, fy = x_dist.pdf, y_dist.pdf
 
-    def pdf(x, y):
-        return fx(np.asarray(x, dtype=float)) * float(fy(np.asarray(y, dtype=float)))
-
     def pdf_pairs(x, y):
         return fx(np.asarray(x, dtype=float)) * fy(np.asarray(y, dtype=float))
 
     def marginal_hints(dist, kind):
         p, w = _KINDS[kind]
         p_lo, p_hi = dist.pdf_edge_exponents
-        lo = _combined_exponent(p_lo, 0.0)
-        lo = None if lo is None else p * lo + (w if dist.support[0] == 0.0 else 0)
+        lo = None if p_lo is None else p * p_lo + (w if dist.support[0] == 0.0 else 0)
         hi = None if p_hi is None else p * p_hi + w
         return lo, hi
 
@@ -169,8 +173,7 @@ def product_distribution(x_dist: UnivariateDistribution,
 
     return BivariateDistribution(
         kind="product", params={"x": x_dist.label, "y": y_dist.label},
-        y_range=y_dist.support, x_range=lambda y: x_dist.support, pdf=pdf,
-        pdf_pairs=pdf_pairs,
+        y_range=y_dist.support, x_range=lambda y: x_dist.support, pdf_pairs=pdf_pairs,
         inner_hints=lambda kind: marginal_hints(x_dist, kind),
         outer_hints=lambda kind: marginal_hints(y_dist, kind),
         sampler=sampler)
@@ -183,7 +186,6 @@ def rectangle_distribution(pdf, x_bounds: tuple[float, float],
         kind="rectangle", params={"x_bounds": x_bounds, "y_bounds": y_bounds},
         y_range=tuple(map(float, y_bounds)),
         x_range=lambda y: tuple(map(float, x_bounds)),
-        pdf=lambda x, y: np.asarray(pdf(np.asarray(x, dtype=float), y), dtype=float),
         pdf_pairs=lambda x, y: np.asarray(
             pdf(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float),
         inner_hints=lambda kind: (None, None),
@@ -196,12 +198,7 @@ def make_bivariate(spec: Mapping) -> BivariateDistribution:
         raise ValidationError("bivariate spec must be a mapping with a 'family' key")
     family = spec["family"]
     if family == "bivariate_beta":
-        params = spec.get("params", {})
-        missing = [k for k in ("alpha", "beta", "gamma") if k not in params]
-        if missing:
-            raise ValidationError(
-                f"bivariate_beta spec missing params: {', '.join(missing)}")
-        return bivariate_beta(params["alpha"], params["beta"], params["gamma"])
+        return bivariate_beta(**_spec_params(spec, family, ("alpha", "beta", "gamma")))
     if family == "product":
         if "x" not in spec or "y" not in spec:
             raise ValidationError("product spec requires 'x' and 'y' marginal specs")
@@ -216,7 +213,7 @@ def make_bivariate(spec: Mapping) -> BivariateDistribution:
 def _iterated(bd: BivariateDistribution, kind: str,
               tol_outer: float = OUTER_TOL, tol_inner: float = INNER_TOL):
     p, w = _KINDS[kind]
-    i_lo, i_hi = bd.inner_hints(kind)
+    inner = bd.inner_hints(kind)
     evals = [0]
 
     def outer_scalar(y: float) -> float:
@@ -225,36 +222,21 @@ def _iterated(bd: BivariateDistribution, kind: str,
             return 0.0
 
         def fn(x):
-            f = bd.pdf(x, y)
+            f = bd.pdf_pairs(x, y)
             v = f**p if p > 1 else f
             if w:
                 v = v * x * y
             return v
 
-        sing_lo, exp_lo = _exp_or_none(i_lo)
-        if math.isinf(hi):
-            sing_hi, exp_hi = i_hi is not None, i_hi
-        else:
-            sing_hi, exp_hi = _exp_or_none(i_hi)
-        r = integrate(Integrand(fn, lo, hi, singular_lower=sing_lo,
-                                singular_upper=sing_hi, exponent_lower=exp_lo,
-                                exponent_upper=exp_hi), tol=tol_inner)
+        r = integrate(_hinted_integrand(fn, lo, hi, inner), tol=tol_inner)
         evals[0] += r.evaluations
         return r.value
 
     def outer_fn(ys):
         return np.array([outer_scalar(float(y)) for y in np.atleast_1d(ys)])
 
-    o_lo, o_hi = bd.outer_hints(kind)
-    y_lo, y_hi = bd.y_range
-    sing_lo, exp_lo = _exp_or_none(o_lo)
-    if math.isinf(y_hi):
-        sing_hi, exp_hi = o_hi is not None, o_hi
-    else:
-        sing_hi, exp_hi = _exp_or_none(o_hi)
-    r = integrate(Integrand(outer_fn, y_lo, y_hi, singular_lower=sing_lo,
-                            singular_upper=sing_hi, exponent_lower=exp_lo,
-                            exponent_upper=exp_hi), tol=tol_outer)
+    r = integrate(_hinted_integrand(outer_fn, *bd.y_range, bd.outer_hints(kind)),
+                  tol=tol_outer)
     return r, evals[0] + r.evaluations
 
 

@@ -18,10 +18,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .bivariate import independence_factorization_check
 from .distributions import UnivariateDistribution, ValidationError, exponential
 from .measures import (
     decomposition_check,
@@ -37,7 +38,9 @@ from .quadrature import Integrand, integrate
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
+    "CLAIMS",
     "CLAIM_IDS",
+    "ClaimSpec",
     "InversionError",
     "ResolutionError",
     "HazardCurve",
@@ -52,19 +55,11 @@ __all__ = [
     "invert_weighted_residual",
     "reconstruct_survival",
     "constancy_explorer",
+    "constancy_claim",
     "decomposition_check",
+    "claim_row",
+    "claim_rows",
 ]
-
-CLAIM_IDS = (
-    "decomposition",
-    "residual_bound",
-    "past_bound",
-    "sum_bound",
-    "independence_factorization",
-    "lemma1_residual",
-    "lemma1_past",
-    "constancy",
-)
 
 MONOTONE_GRID = 50
 
@@ -515,3 +510,88 @@ def constancy_explorer(family, t_grid) -> ConstancyReport:
     spread = max(values) - min(values)
     max_dev = None if reference is None else max(abs(v - reference) for v in values)
     return ConstancyReport(dist.label, grid, values, spread, reference, max_dev, notes)
+
+
+def constancy_claim(family, t_grid) -> ClaimReport:
+    """The constancy exploration as a claim report; the verdict is always
+    indeterminate.
+
+    lhs and gap carry the spread of Jw(X_t) over the grid against rhs 0.
+    A catalog member other than pareto has no constant to explore and
+    reports NaN sides without evaluating anything.
+    """
+    if isinstance(family, UnivariateDistribution) and family.family != "pareto":
+        return ClaimReport("constancy", math.nan, math.nan, math.nan, INDETERMINATE,
+                           notes="constancy exploration needs a pareto member "
+                                 "(hazard shape/t)")
+    rep = constancy_explorer(family, t_grid)
+    return ClaimReport("constancy", rep.spread, 0.0, rep.spread, INDETERMINATE,
+                       notes=rep.notes,
+                       extras={"mean_value": float(np.mean(rep.values)),
+                               "reference": rep.reference,
+                               "max_deviation": rep.max_deviation_from_reference})
+
+
+# -- claim registry ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClaimSpec:
+    """How one claim id is evaluated.
+
+    ``check`` takes (X, Y) for a pair claim, (dist, t) for a t-indexed
+    claim and (dist, t_grid) otherwise, and returns a ClaimReport.
+    """
+
+    check: Callable[..., ClaimReport]
+    pair: bool = False
+    t_indexed: bool = True
+
+
+# The checks are looked up by name at call time, so rebinding a module
+# attribute (instrumentation, monkeypatching) reaches the registry too.
+CLAIMS = {
+    "decomposition": ClaimSpec(lambda d, t: decomposition_check(d, t)),
+    "residual_bound": ClaimSpec(lambda d, t: residual_bound_check(d, t)),
+    # T is the 0.999 quantile, kept strictly above t.
+    "past_bound": ClaimSpec(lambda d, t: past_bound_check(
+        d, t, T=max(float(d.quantile(np.asarray(0.999))), t * (1 + 1e-9)))),
+    "sum_bound": ClaimSpec(lambda x, y: sum_bound_check(x, y),
+                           pair=True, t_indexed=False),
+    "independence_factorization": ClaimSpec(
+        lambda x, y: independence_factorization_check(x, y), pair=True, t_indexed=False),
+    "lemma1_residual": ClaimSpec(lambda d, t: lemma1_residual_check(d, t)),
+    "lemma1_past": ClaimSpec(lambda d, t: lemma1_past_check(d, t)),
+    "constancy": ClaimSpec(lambda d, grid: constancy_claim(d, grid), t_indexed=False),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
+
+
+def claim_row(rep: ClaimReport, dist_label: str, t) -> dict:
+    """One output row of a claim report."""
+    return {"claim": rep.claim_id, "dist": dist_label, "t": t,
+            "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
+            "verdict": rep.verdict, "notes": rep.notes, "extras": dict(rep.extras)}
+
+
+def claim_rows(claim_id: str, dists, grid_of) -> list[dict]:
+    """Evaluate one claim over ``dists`` and return its rows.
+
+    A pair claim takes ``dists`` as (X, Y) and labels its row "X+Y".
+    Otherwise each distribution is checked on ``grid_of(dist)``: once per
+    grid point when the claim is t-indexed, once on the whole grid if not.
+    """
+    spec = CLAIMS[claim_id]
+    if spec.pair:
+        x, y = dists
+        return [claim_row(spec.check(x, y), f"{x.label}+{y.label}", None)]
+    rows = []
+    for dist in dists:
+        grid = grid_of(dist)
+        if not spec.t_indexed:
+            rows.append(claim_row(spec.check(dist, grid), dist.label, None))
+            continue
+        for t in grid:
+            t = float(t)
+            rows.append(claim_row(spec.check(dist, t), dist.label, t))
+    return rows

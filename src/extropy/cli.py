@@ -24,12 +24,7 @@ from . import claims as cl
 from . import distributions as ds
 from . import measures as ms
 from . import transforms as tf
-from .bivariate import (
-    bivariate_extropy,
-    bivariate_weighted_extropy,
-    independence_factorization_check,
-    make_bivariate,
-)
+from .bivariate import bivariate_extropy, bivariate_weighted_extropy, make_bivariate
 from .quadrature import (
     DivergenceUndecidedError,
     EvaluationBudgetError,
@@ -206,12 +201,6 @@ def _mv_row(mv: ms.MeasureValue) -> dict:
             "method": mv.method, "diverged": mv.diverged}
 
 
-def _claim_row(rep, dist_label: str, t) -> dict:
-    return {"claim": rep.claim_id, "dist": dist_label, "t": t,
-            "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-            "verdict": rep.verdict, "notes": rep.notes, "extras": dict(rep.extras)}
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_measure(cfg: RunConfig):
@@ -302,9 +291,6 @@ def _cmd_transform(cfg: RunConfig):
     return {"command": "transform", "dist": dist.label, "transform": tr.label}, rows
 
 
-_PAIR_CLAIMS = ("sum_bound", "independence_factorization")
-
-
 def _cmd_claims(cfg: RunConfig):
     wanted = cfg.claims or cl.CLAIM_IDS
     unknown = [c for c in wanted if c not in cl.CLAIM_IDS]
@@ -316,50 +302,10 @@ def _cmd_claims(cfg: RunConfig):
     dists = [ds.make_distribution(_load_spec(s)) for s in cfg.dist_specs]
     rows = []
     for claim in wanted:
-        if claim in _PAIR_CLAIMS:
-            if len(dists) != 2:
-                raise ds.ValidationError(
-                    f"claim {claim!r} needs exactly two --dist (X then Y)")
-            x, y = dists
-            rep = (cl.sum_bound_check(x, y) if claim == "sum_bound"
-                   else independence_factorization_check(x, y))
-            rows.append(_claim_row(rep, f"{x.label}+{y.label}", None))
-            continue
-        for dist in dists:
-            if claim == "constancy":
-                grid = _parse_grid(cfg, dist)
-                if dist.family == "pareto":
-                    rep_c = cl.constancy_explorer(dist, grid)
-                    rows.append({
-                        "claim": "constancy", "dist": dist.label, "t": None,
-                        "lhs": rep_c.spread, "rhs": 0.0, "gap": rep_c.spread,
-                        "verdict": "indeterminate",
-                        "notes": rep_c.notes,
-                        "extras": {"mean_value": float(np.mean(rep_c.values)),
-                                   "reference": rep_c.reference,
-                                   "max_deviation": rep_c.max_deviation_from_reference}})
-                else:
-                    rows.append({
-                        "claim": "constancy", "dist": dist.label, "t": None,
-                        "lhs": math.nan, "rhs": math.nan, "gap": math.nan,
-                        "verdict": "indeterminate",
-                        "notes": "constancy exploration needs a pareto member "
-                                 "(hazard shape/t)", "extras": {}})
-                continue
-            for t in _parse_grid(cfg, dist):
-                t = float(t)
-                if claim == "decomposition":
-                    rep = ms.decomposition_check(dist, t)
-                elif claim == "residual_bound":
-                    rep = cl.residual_bound_check(dist, t)
-                elif claim == "past_bound":
-                    q999 = float(dist.quantile(np.asarray(0.999)))
-                    rep = cl.past_bound_check(dist, t, T=max(q999, t * (1 + 1e-9)))
-                elif claim == "lemma1_residual":
-                    rep = cl.lemma1_residual_check(dist, t)
-                else:
-                    rep = cl.lemma1_past_check(dist, t)
-                rows.append(_claim_row(rep, dist.label, t))
+        if cl.CLAIMS[claim].pair and len(dists) != 2:
+            raise ds.ValidationError(
+                f"claim {claim!r} needs exactly two --dist (X then Y)")
+        rows += cl.claim_rows(claim, dists, lambda dist: _parse_grid(cfg, dist))
     summary = {"holds": sum(r["verdict"] == "holds" for r in rows),
                "violated": sum(r["verdict"] == VIOLATED for r in rows),
                "indeterminate": sum(r["verdict"] == "indeterminate" for r in rows)}
@@ -374,7 +320,7 @@ def _cmd_mc(cfg: RunConfig):
         raise ds.ValidationError("mc needs --n >= 2")
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    if spec.get("family") in ("bivariate_beta", "product"):
+    if isinstance(spec, dict) and spec.get("family") in ("bivariate_beta", "product"):
         bd = make_bivariate(spec)
         if bd.sampler is None:
             raise ds.ValidationError(f"{bd.label} has no sampler")

@@ -14,6 +14,7 @@ given as an (x, f) grid, linearly interpolated and renormalized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -284,7 +285,10 @@ def beta_dist(alpha: float, beta: float) -> UnivariateDistribution:
 
 
 def piecewise(weights) -> UnivariateDistribution:
-    c = np.asarray(weights, dtype=float)
+    try:
+        c = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("piecewise weights must be numbers") from exc
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("piecewise requires a non-empty weight vector")
     if np.any(c < 0.0):
@@ -359,7 +363,10 @@ def pareto(shape: float, scale: float) -> UnivariateDistribution:
 
 
 def tabulated(grid) -> UnivariateDistribution:
-    pts = np.asarray(grid, dtype=float)
+    try:
+        pts = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("tabulated grid entries must be numbers") from exc
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValidationError("tabulated requires a grid of at least two (x, f) pairs")
     x = pts[:, 0]
@@ -422,6 +429,28 @@ _BUILDERS = {
 }
 
 
+def _spec_params(spec: Mapping, family: str, wanted: tuple[str, ...],
+                 scalar: bool = True) -> dict:
+    """The ``params`` of a spec document: exactly ``wanted``, each a real
+    number when ``scalar``."""
+    params = spec.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValidationError(f"{family} spec params must be a mapping")
+    missing = [k for k in wanted if k not in params]
+    if missing:
+        raise ValidationError(f"{family} spec missing params: {', '.join(missing)}")
+    extra = [k for k in params if k not in wanted]
+    if extra:
+        raise ValidationError(f"{family} spec has unknown params: {', '.join(extra)}")
+    if scalar:
+        bad = [k for k in wanted if isinstance(params[k], bool)
+               or not isinstance(params[k], numbers.Real)]
+        if bad:
+            raise ValidationError(
+                f"{family} params must be real numbers: {', '.join(bad)}")
+    return {k: params[k] for k in wanted}
+
+
 def make_distribution(spec: Mapping) -> UnivariateDistribution:
     """Build a catalog member from a specification document.
 
@@ -435,18 +464,12 @@ def make_distribution(spec: Mapping) -> UnivariateDistribution:
         if "grid" not in spec:
             raise ValidationError("tabulated spec requires a 'grid' of (x, f) pairs")
         return tabulated(spec["grid"])
-    if family not in _BUILDERS:
+    if not isinstance(family, str) or family not in _BUILDERS:
         known = ", ".join(sorted([*_BUILDERS, "tabulated"]))
         raise ValidationError(f"unknown family {family!r}; known families: {known}")
-    wanted = _FAMILY_PARAMS[family]
-    params = spec.get("params", {})
-    missing = [k for k in wanted if k not in params]
-    if missing:
-        raise ValidationError(f"{family} spec missing params: {', '.join(missing)}")
-    extra = [k for k in params if k not in wanted]
-    if extra:
-        raise ValidationError(f"{family} spec has unknown params: {', '.join(extra)}")
-    return _BUILDERS[family](**{k: params[k] for k in wanted})
+    params = _spec_params(spec, family, _FAMILY_PARAMS[family],
+                          scalar=family != "piecewise")
+    return _BUILDERS[family](**params)
 
 
 def closed_form(dist: UnivariateDistribution, measure_id: str,

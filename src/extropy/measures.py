@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -171,17 +172,29 @@ def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
                      exponent_lower=exponent_lower, exponent_upper=exponent_upper)
 
 
+def _scaled_integral(g: Integrand, norm: Callable[[], float],
+                     tol: float = ENGINE_TOL) -> MeasureValue:
+    """-(1/(2*norm()^2)) times the integral of ``g``; infinite, of the
+    opposite sign to the integral, when it diverges.
+
+    ``norm`` is called only for a convergent integral, so a divergent one
+    costs no normaliser evaluation.
+    """
+    r = integrate(g, tol=tol)
+    if r.diverged:
+        return MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
+                            math.inf, diverged=True)
+    k = 0.5 / norm()**2
+    return MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate)
+
+
 def _scaled_tail_measure(dist, lo, hi, x_weight, scale,
                          tol: float = ENGINE_TOL) -> MeasureValue:
     """-(1/(2*scale^2)) times the integral of x^w f^2 over (lo, hi)."""
     if lo >= hi:
         return MeasureValue(0.0, "quadrature", 0.0)
-    r = integrate(_f_squared_integrand(dist, lo, hi, x_weight), tol=tol)
-    if r.diverged:
-        return MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
-                            math.inf, diverged=True)
-    k = 0.5 / scale**2
-    return MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate)
+    return _scaled_integral(_f_squared_integrand(dist, lo, hi, x_weight),
+                            lambda: scale, tol)
 
 
 # -- unconditional measures --------------------------------------------------
@@ -255,12 +268,9 @@ def dynamic_survival_extropy(dist, t: float, *,
     if math.isinf(hi) and dist.sf_tail_exponent is not None:
         singular_upper = True
         exponent_upper = 2.0 * dist.sf_tail_exponent
-    r = integrate(Integrand(fn, lo, hi, singular_upper=singular_upper,
-                            exponent_upper=exponent_upper), tol=tol)
-    if r.diverged:
-        return MeasureValue(-math.inf, "quadrature", math.inf, diverged=True)
-    k = 0.5 / cl.norm**2
-    return MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate)
+    return _scaled_integral(Integrand(fn, lo, hi, singular_upper=singular_upper,
+                                      exponent_upper=exponent_upper),
+                            lambda: cl.norm, tol)
 
 
 _DISPATCH = {

@@ -237,60 +237,24 @@ def _classify_finite_endpoint(fn, endpoint: float, inward: float, hint, budget) 
     return INCONCLUSIVE
 
 
-def _classify_infinite_tail(fn, start: float, hint, budget) -> str:
-    """Classification at +inf (or -inf after mirroring): divergent iff tail power >= -1."""
-    if hint is not None:
-        return DIVERGENT if hint >= -1.0 else CONVERGENT
-    x0 = max(abs(start), 1.0) * 8.0
-    x = x0 * np.logspace(0.0, 3.0, 16)
-    p = _fit_exponent(fn, x, x, budget)
-    if p is None:
-        return CONVERGENT
-    if p >= -1.0 + EXPONENT_BAND:
-        return DIVERGENT
-    if p <= -1.0 - EXPONENT_BAND:
-        return CONVERGENT
-    return INCONCLUSIVE
-
-
 def detect_divergence(g: Integrand, budget: int = DEFAULT_BUDGET) -> dict[str, str]:
-    """Classify each declared singular endpoint of ``g``.
+    """Classify the endpoints of ``g`` exactly as :func:`integrate` does.
 
-    Returns a mapping from ``"lower"``/``"upper"`` (only the endpoints
-    declared singular) to one of ``"convergent"``, ``"divergent"``,
-    ``"inconclusive"``.  The decision uses the analytic exponent hint when
-    ``g`` carries one, otherwise a power-law fit over three decades of
-    geometric approach; fitted exponents within ``EXPONENT_BAND`` of -1
-    are never silently classified.
+    Returns a mapping from ``"lower"``/``"upper"`` to one of
+    ``"convergent"``, ``"divergent"``, ``"inconclusive"``.  It holds every
+    endpoint declared singular and every infinite endpoint, which the
+    substitution onto a finite interval always makes singular.  The
+    decision uses the analytic exponent hint when ``g`` carries one,
+    otherwise a power-law fit over three decades of geometric approach;
+    fitted exponents within ``EXPONENT_BAND`` of -1 are never silently
+    classified.  Doubly-infinite integrands raise ``ValueError``.
     """
-    b = _Budget(budget)
-    out: dict[str, str] = {}
-    probe = _probe_interior(g)
-    if g.singular_lower:
-        if math.isinf(g.lower):
-            out["lower"] = _classify_infinite_tail(
-                lambda x: g.fn(-x), -min(g.upper, probe), g.exponent_lower, b)
-        else:
-            out["lower"] = _classify_finite_endpoint(
-                g.fn, g.lower, probe, g.exponent_lower, b)
-    if g.singular_upper:
-        if math.isinf(g.upper):
-            out["upper"] = _classify_infinite_tail(g.fn, probe, g.exponent_upper, b)
-        else:
-            out["upper"] = _classify_finite_endpoint(
-                g.fn, g.upper, probe, g.exponent_upper, b)
+    out = _classify_declared_endpoints(_map_infinite(g), _Budget(budget))
+    if math.isinf(g.lower):
+        # The substitution reflects a lower-infinite interval: sides swap.
+        return {("upper" if side == "lower" else "lower"): status
+                for side, status in out.items()}
     return out
-
-
-def _probe_interior(g: Integrand) -> float:
-    lo, hi = g.lower, g.upper
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(hi):
-        return lo + 1.0
-    if math.isinf(lo):
-        return hi - 1.0
-    return 0.5 * (lo + hi)
 
 
 def _endpoint_sign(fn, endpoint: float, inward: float, budget: _Budget) -> float:
@@ -465,9 +429,9 @@ def integrate(g: Integrand, tol: float = DEFAULT_TOL,
     statuses = _classify_declared_endpoints(finite, b)
     for side, status in statuses.items():
         if status == DIVERGENT:
-            inward = _probe_interior(finite)
             endpoint = finite.lower if side == "lower" else finite.upper
-            sign = _endpoint_sign(finite.fn, endpoint, inward, b)
+            sign = _endpoint_sign(finite.fn, endpoint,
+                                  0.5 * (finite.lower + finite.upper), b)
             return QuadratureResult(sign * math.inf, math.inf, b.used, diverged=True)
         if status == INCONCLUSIVE:
             raise DivergenceUndecidedError(
@@ -525,7 +489,7 @@ def _initial_partition(lo: float, hi: float) -> list[tuple[float, float]]:
 
 def _classify_declared_endpoints(finite: Integrand, b: _Budget) -> dict[str, str]:
     out: dict[str, str] = {}
-    probe = _probe_interior(finite)
+    probe = 0.5 * (finite.lower + finite.upper)
     if finite.singular_lower:
         out["lower"] = _classify_finite_endpoint(
             finite.fn, finite.lower, probe, finite.exponent_lower, b)

@@ -27,13 +27,13 @@ import numpy as np
 from .distributions import UnivariateDistribution, ValidationError
 from .measures import (
     BOUNDARY_EPS,
-    ENGINE_TOL,
     DomainError,
     MeasureValue,
+    _scaled_integral,
     extropy,
     weighted_extropy,
 )
-from .quadrature import Integrand, integrate
+from .quadrature import Integrand
 
 __all__ = [
     "MonotoneTransform",
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-class TransformDegeneracyError(ValueError):
+class TransformDegeneracyError(ValidationError):
     """phi' vanishes on the sampled support: the transform is degenerate there."""
 
 
@@ -202,11 +202,7 @@ def _ratio_integrand(dist, tr: MonotoneTransform, lo: float, hi: float) -> Integ
 def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> MeasureValue:
     """Jw of phi(X), evaluated in the x-domain."""
     _check_transform(dist, tr)
-    r = integrate(_ratio_integrand(dist, tr, *dist.support), tol=ENGINE_TOL)
-    if r.diverged:
-        return MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
-                            math.inf, diverged=True)
-    return MeasureValue(-0.5 * r.value, "quadrature", 0.5 * r.abs_error_estimate)
+    return _scaled_integral(_ratio_integrand(dist, tr, *dist.support), lambda: 1.0)
 
 
 def linear_transform_extropy(dist, a: float, b: float) -> tuple[MeasureValue, MeasureValue]:
@@ -244,11 +240,7 @@ def transformed_residual_past(dist, tr: MonotoneTransform,
     def scaled(lo_i, hi_i, norm) -> MeasureValue:
         if norm < BOUNDARY_EPS:
             raise DomainError(f"normalizer {norm:.3e} too small at t={t}")
-        r = integrate(_ratio_integrand(dist, tr, lo_i, hi_i), tol=ENGINE_TOL)
-        if r.diverged:
-            return MeasureValue(-math.inf, "quadrature", math.inf, diverged=True)
-        k = 0.5 / norm**2
-        return MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate)
+        return _scaled_integral(_ratio_integrand(dist, tr, lo_i, hi_i), lambda: norm)
 
     if tr.direction == "increasing":
         residual = scaled(xt, hi, S)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extropy.claims import (
+    CLAIMS,
     CLAIM_IDS,
     ConstancyODEFamily,
     HazardCurve,
@@ -269,3 +270,4 @@ def test_claim_id_registry():
     assert CLAIM_IDS == ("decomposition", "residual_bound", "past_bound",
                          "sum_bound", "independence_factorization",
                          "lemma1_residual", "lemma1_past", "constancy")
+    assert tuple(CLAIMS) == CLAIM_IDS

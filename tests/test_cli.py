@@ -168,6 +168,14 @@ class TestTransformCommand:
         assert rows["weighted_residual_extropy_xdomain"]["value"] == pytest.approx(
             -0.375, abs=1e-9)
 
+    def test_degenerate_transform_is_validation_error(self):
+        tiny = '{"family":"exponential","params":{"rate":1e-15}}'
+        code, _, err = run_cli("transform", "--dist", tiny, "--transform", "pit")
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "validation"
+        assert doc["class"] == "TransformDegeneracyError"
+
     def test_unknown_transform(self):
         code, _, err = run_cli("transform", "--dist", EXP1, "--transform", "cube")
         assert code == 2
@@ -255,6 +263,13 @@ class TestMonteCarloCommand:
         row = rows_of(out)[0]
         assert row["estimate"] is None and "skipped" in row["note"]
 
+    def test_non_mapping_spec_file_is_validation_error(self, tmp_path):
+        p = tmp_path / "d.json"
+        p.write_text("[1, 2]")
+        code, _, err = run_cli("mc", "--dist", str(p), "--n", "10")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+
     def test_t_indexed_measure_rejected(self):
         code, _, err = run_cli("mc", "--dist", EXP1,
                                "--measure", "residual_extropy", "--n", "1000")
@@ -302,9 +317,27 @@ class TestOutputContract:
         _, b, _ = run_cli(*args)
         assert a == b
 
-    def test_error_document_is_machine_readable(self):
-        code, _, err = run_cli("measure", "--dist", "not-json-or-file",
-                               "--measure", "extropy")
+    @pytest.mark.parametrize("args", [
+        ("measure", "--dist", "not-json-or-file", "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"uniform","params":{"a":0,"b":"x"}}',
+         "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"exponential","params":{"rate":null}}',
+         "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"exponential","params":[1]}',
+         "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"piecewise","params":{"weights":["a",1]}}',
+         "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"tabulated","grid":[[0,"x"],[1,2]]}',
+         "--measure", "extropy"),
+        ("bivariate", "--dist",
+         '{"family":"bivariate_beta","params":{"alpha":"1","beta":1,"gamma":1}}'),
+        ("bivariate", "--dist",
+         '{"family":"bivariate_beta","params":{"alpha":1,"beta":1,"gamma":1,"delta":1}}'),
+    ], ids=["not-json", "string-param", "null-param", "params-not-mapping",
+            "string-weight", "string-grid", "bivariate-string-param",
+            "bivariate-unknown-param"])
+    def test_error_document_is_machine_readable(self, args):
+        code, _, err = run_cli(*args)
         assert code == 2
         doc = json.loads(err)
         assert set(doc["error"]) == {"type", "class", "message"}

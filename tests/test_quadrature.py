@@ -110,6 +110,16 @@ class TestDetectDivergence:
         out = detect_divergence(g)
         assert out["lower"] == "convergent" and out["upper"] == "divergent"
 
+    @pytest.mark.parametrize("fn, lower, upper, side, status", [
+        (lambda x: x**-0.5, 1.0, np.inf, "upper", "divergent"),
+        (lambda x: x**-2.0, 1.0, np.inf, "upper", "convergent"),
+        (lambda x: np.exp(2.0 * x), -np.inf, 0.0, "lower", "convergent"),
+    ])
+    def test_infinite_tail_agrees_with_integrate(self, fn, lower, upper, side, status):
+        g = Integrand(fn, lower, upper)
+        assert detect_divergence(g) == {side: status}
+        assert integrate(g).diverged == (status == "divergent")
+
 
 class TestErrorPaths:
     def test_budget_exhaustion_is_distinct(self):
