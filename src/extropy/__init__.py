@@ -8,7 +8,6 @@ numerically instead of assuming it.
 """
 
 from .distributions import (
-    MEASURE_IDS,
     UnivariateDistribution,
     ValidationError,
     beta2,
@@ -25,6 +24,7 @@ from .distributions import (
     uniform,
 )
 from .measures import (
+    MEASURE_IDS,
     ConditionalLifetime,
     DomainError,
     MeasureValue,
@@ -42,10 +42,12 @@ from .measures import (
     weighted_residual_extropy,
 )
 from .bivariate import (
+    BIVARIATE_MEASURE_IDS,
     BivariateDistribution,
     bivariate_beta,
     bivariate_extropy,
     bivariate_weighted_extropy,
+    compute_bivariate,
     independence_factorization_check,
     make_bivariate,
     product_distribution,

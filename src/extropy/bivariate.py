@@ -10,9 +10,12 @@ integral by (-1/2)**k, which is +1/4 at k = 2).  Regions: a product of
 two univariate supports, the triangle 0 < x < y < 1 of the bivariate beta
 family, or a caller-supplied rectangle.  Evaluation is iterated adaptive
 quadrature, inner in x at fixed y, with analytic endpoint exponents
-supplied per family.  If X and Y are independent, J(X,Y) = J(X) J(Y) and
-Jw(X,Y) = Jw(X) Jw(Y); :func:`independence_factorization_check` verifies
-this against the 2-d quadrature.
+supplied per family.  :func:`compute_bivariate` dispatches the two
+measures by identifier (``BIVARIATE_MEASURE_IDS``); both use the family's
+closed form unless ``force_quadrature`` is set.  If X and Y are
+independent, J(X,Y) = J(X) J(Y) and Jw(X,Y) = Jw(X) Jw(Y);
+:func:`independence_factorization_check` verifies this against the 2-d
+quadrature.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "bivariate_mass",
     "bivariate_extropy",
     "bivariate_weighted_extropy",
+    "BIVARIATE_MEASURE_IDS",
+    "compute_bivariate",
     "independence_factorization_check",
     "INNER_TOL",
     "OUTER_TOL",
@@ -270,6 +275,27 @@ def bivariate_weighted_extropy(bd: BivariateDistribution, *,
     """1/4 of the double integral of x y f^2 over the region."""
     return _quarter_integral(bd, "xyf2", "bivariate_weighted_extropy",
                              force_quadrature, tol)
+
+
+# The measures are looked up by name at call time, so rebinding a module
+# attribute (instrumentation, monkeypatching) reaches the table too.
+_BIVARIATE_TABLE = {
+    "bivariate_extropy": lambda bd, **kw: bivariate_extropy(bd, **kw),
+    "bivariate_weighted_extropy": lambda bd, **kw: bivariate_weighted_extropy(bd, **kw),
+}
+
+BIVARIATE_MEASURE_IDS = tuple(_BIVARIATE_TABLE)
+
+
+def compute_bivariate(bd: BivariateDistribution, measure_id: str, *,
+                      force_quadrature: bool = False,
+                      tol: float = OUTER_TOL) -> MeasureValue:
+    """Dispatch a bivariate measure by identifier."""
+    if measure_id not in _BIVARIATE_TABLE:
+        raise ValidationError(
+            f"unknown bivariate measure {measure_id!r}; valid: "
+            + ", ".join(BIVARIATE_MEASURE_IDS))
+    return _BIVARIATE_TABLE[measure_id](bd, force_quadrature=force_quadrature, tol=tol)
 
 
 def independence_factorization_check(x_dist: UnivariateDistribution,

@@ -25,6 +25,7 @@ import numpy as np
 from .bivariate import independence_factorization_check
 from .distributions import UnivariateDistribution, ValidationError, exponential
 from .measures import (
+    DerivativeComparison,
     decomposition_check,
     dynamic_survival_extropy,
     weighted_extropy,
@@ -79,14 +80,9 @@ def _nondecreasing(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) >= -1e-9 * scale))
 
 
-def _hazard_nondecreasing(dist, lo: float, hi: float) -> bool:
-    ts = np.linspace(lo, hi, MONOTONE_GRID)
-    return _nondecreasing(dist.hazard(ts))
-
-
-def _reversed_hazard_nondecreasing(dist, lo: float, hi: float) -> bool:
-    ts = np.linspace(lo, hi, MONOTONE_GRID)
-    return _nondecreasing(dist.reversed_hazard(ts))
+def _rate_nondecreasing(rate, lo: float, hi: float) -> bool:
+    """``rate`` (a hazard or reversed hazard) non-decreasing on a grid of [lo, hi]."""
+    return _nondecreasing(rate(np.linspace(lo, hi, MONOTONE_GRID)))
 
 
 # -- bound checks --------------------------------------------------------------
@@ -99,7 +95,7 @@ def residual_bound_check(dist, t: float, tol: float = 1e-8) -> ClaimReport:
     """
     hi = float(dist.quantile(np.asarray(0.999)))
     start = max(t, dist.support[0] * (1 + 1e-12))
-    if not _hazard_nondecreasing(dist, start, hi):
+    if not _rate_nondecreasing(dist.hazard, start, hi):
         return ClaimReport("residual_bound", math.nan, math.nan, math.nan,
                            INDETERMINATE,
                            notes="precondition unverified: hazard not "
@@ -143,7 +139,7 @@ def past_bound_check(dist, t: float, T: float, tol: float = 1e-8) -> ClaimReport
         "rederived_gap": lhs_mv.value - rederived,
     }
     lo = float(dist.quantile(np.asarray(1e-6)))
-    if not _reversed_hazard_nondecreasing(dist, lo, T):
+    if not _rate_nondecreasing(dist.reversed_hazard, lo, T):
         return ClaimReport("past_bound", lhs_mv.value, claimed,
                            lhs_mv.value - claimed, INDETERMINATE,
                            notes="precondition unverified: reversed hazard not "
@@ -197,6 +193,17 @@ def sum_bound_check(x_dist: UnivariateDistribution, y_dist: UnivariateDistributi
 
 # -- derivative-identity claims ------------------------------------------------
 
+def _lemma1_report(claim_id: str, dc: DerivativeComparison, tol: float) -> ClaimReport:
+    gap = dc.numeric - dc.corrected_formula
+    verdict = HOLDS if abs(gap) <= max(tol, 10.0 * dc.numeric_error) else VIOLATED
+    return ClaimReport(
+        claim_id, dc.numeric, dc.corrected_formula, gap, verdict,
+        notes="rhs is the re-derived identity; claimed identity reported in extras",
+        extras={"claimed_formula": dc.claimed_formula,
+                "claimed_gap": dc.claimed_formula - dc.numeric,
+                "fd_error": dc.numeric_error})
+
+
 def lemma1_residual_check(dist, t: float, tol: float = 1e-5) -> ClaimReport:
     """Compare d/dt Jw(X_t) (finite differences) with both closed forms.
 
@@ -204,28 +211,12 @@ def lemma1_residual_check(dist, t: float, tol: float = 1e-5) -> ClaimReport:
     2 r Jw + t r^2 / 2; the claimed identity and its gap are reported in
     extras, never asserted.  Gap convention: lhs - rhs.
     """
-    dc = weighted_residual_derivative(dist, t)
-    gap = dc.numeric - dc.corrected_formula
-    verdict = HOLDS if abs(gap) <= max(tol, 10.0 * dc.numeric_error) else VIOLATED
-    return ClaimReport(
-        "lemma1_residual", dc.numeric, dc.corrected_formula, gap, verdict,
-        notes="rhs is the re-derived identity; claimed identity reported in extras",
-        extras={"claimed_formula": dc.claimed_formula,
-                "claimed_gap": dc.claimed_formula - dc.numeric,
-                "fd_error": dc.numeric_error})
+    return _lemma1_report("lemma1_residual", weighted_residual_derivative(dist, t), tol)
 
 
 def lemma1_past_check(dist, t: float, tol: float = 1e-5) -> ClaimReport:
     """Past-lifetime counterpart of :func:`lemma1_residual_check`."""
-    dc = weighted_past_derivative(dist, t)
-    gap = dc.numeric - dc.corrected_formula
-    verdict = HOLDS if abs(gap) <= max(tol, 10.0 * dc.numeric_error) else VIOLATED
-    return ClaimReport(
-        "lemma1_past", dc.numeric, dc.corrected_formula, gap, verdict,
-        notes="rhs is the re-derived identity; claimed identity reported in extras",
-        extras={"claimed_formula": dc.claimed_formula,
-                "claimed_gap": dc.claimed_formula - dc.numeric,
-                "fd_error": dc.numeric_error})
+    return _lemma1_report("lemma1_past", weighted_past_derivative(dist, t), tol)
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,7 @@ from . import claims as cl
 from . import distributions as ds
 from . import measures as ms
 from . import transforms as tf
-from .bivariate import bivariate_extropy, bivariate_weighted_extropy, make_bivariate
+from .bivariate import BIVARIATE_MEASURE_IDS, compute_bivariate, make_bivariate
 from .quadrature import (
     DivergenceUndecidedError,
     EvaluationBudgetError,
@@ -33,9 +33,6 @@ from .quadrature import (
 from .reporting import VIOLATED
 
 __all__ = ["main", "RunConfig"]
-
-_BIVARIATE_MEASURES = ("bivariate_extropy", "bivariate_weighted_extropy")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -57,7 +54,7 @@ class RunConfig:
     method: str
 
     def __post_init__(self):
-        if self.tol is not None and self.tol < 1e-12:
+        if self.tol is not None and not self.tol >= 1e-12:
             raise ds.ValidationError("tolerance override must be >= 1e-12")
 
 
@@ -207,7 +204,7 @@ def _cmd_measure(cfg: RunConfig):
     dist = _one_dist(cfg)
     if not cfg.measures:
         raise ds.ValidationError(
-            f"--measure required; valid measures: {', '.join(ds.MEASURE_IDS)}")
+            f"--measure required; valid measures: {', '.join(ms.MEASURE_IDS)}")
     force = cfg.method == "quadrature"
     tol = cfg.tol if cfg.tol is not None else ms.ENGINE_TOL
     rows = []
@@ -222,12 +219,12 @@ def _cmd_curve(cfg: RunConfig):
     if len(cfg.measures) != 1:
         raise ds.ValidationError(
             "curve needs exactly one --measure; t-indexed measures: "
-            + ", ".join(ds.T_INDEXED_MEASURES))
+            + ", ".join(ms.T_INDEXED_MEASURES))
     mid = cfg.measures[0]
-    if mid not in ds.T_INDEXED_MEASURES:
+    if mid not in ms.T_INDEXED_MEASURES:
         raise ds.ValidationError(
             f"{mid!r} is not t-indexed; t-indexed measures: "
-            + ", ".join(ds.T_INDEXED_MEASURES))
+            + ", ".join(ms.T_INDEXED_MEASURES))
     force = cfg.method == "quadrature"
     tol = cfg.tol if cfg.tol is not None else ms.ENGINE_TOL
     rows = []
@@ -247,19 +244,11 @@ def _cmd_bivariate(cfg: RunConfig):
     if len(cfg.dist_specs) != 1:
         raise ds.ValidationError("bivariate needs exactly one --dist (a bivariate spec)")
     bd = make_bivariate(_load_spec(cfg.dist_specs[0]))
-    wanted = cfg.measures or _BIVARIATE_MEASURES
     force = cfg.method == "quadrature"
     tol = cfg.tol if cfg.tol is not None else 1e-7
     rows = []
-    for mid in wanted:
-        if mid == "bivariate_extropy":
-            mv = bivariate_extropy(bd, force_quadrature=force, tol=tol)
-        elif mid == "bivariate_weighted_extropy":
-            mv = bivariate_weighted_extropy(bd, force_quadrature=force, tol=tol)
-        else:
-            raise ds.ValidationError(
-                f"unknown bivariate measure {mid!r}; valid: "
-                + ", ".join(_BIVARIATE_MEASURES))
+    for mid in cfg.measures or BIVARIATE_MEASURE_IDS:
+        mv = compute_bivariate(bd, mid, force_quadrature=force, tol=tol)
         rows.append({"measure": mid, **_mv_row(mv)})
     return {"command": "bivariate", "dist": bd.label}, rows
 
@@ -322,21 +311,11 @@ def _cmd_mc(cfg: RunConfig):
     rows = []
     if isinstance(spec, dict) and spec.get("family") in ("bivariate_beta", "product"):
         bd = make_bivariate(spec)
-        if bd.sampler is None:
-            raise ds.ValidationError(f"{bd.label} has no sampler")
-        wanted = cfg.measures or _BIVARIATE_MEASURES
         xs, ys = bd.sampler(rng, cfg.n)
         fvals = bd.pdf_pairs(xs, ys)
-        for mid in wanted:
-            if mid == "bivariate_extropy":
-                samples = 0.25 * fvals
-                ref = bivariate_extropy(bd, force_quadrature=True)
-            elif mid == "bivariate_weighted_extropy":
-                samples = 0.25 * xs * ys * fvals
-                ref = bivariate_weighted_extropy(bd, force_quadrature=True)
-            else:
-                raise ds.ValidationError(
-                    f"mc bivariate measures: {', '.join(_BIVARIATE_MEASURES)}")
+        for mid in cfg.measures or BIVARIATE_MEASURE_IDS:
+            ref = compute_bivariate(bd, mid, force_quadrature=True)
+            samples = 0.25 * fvals if mid == "bivariate_extropy" else 0.25 * xs * ys * fvals
             rows.append(_mc_row(mid, samples, ref))
         label = bd.label
     else:

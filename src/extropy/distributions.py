@@ -22,7 +22,6 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "MEASURE_IDS",
     "ValidationError",
     "UnivariateDistribution",
     "log_gamma",
@@ -38,19 +37,6 @@ __all__ = [
     "make_distribution",
     "closed_form",
 ]
-
-MEASURE_IDS = (
-    "extropy",
-    "weighted_extropy",
-    "residual_extropy",
-    "past_extropy",
-    "weighted_residual_extropy",
-    "weighted_past_extropy",
-    "dynamic_survival_extropy",
-)
-
-T_INDEXED_MEASURES = MEASURE_IDS[2:]
-
 
 class ValidationError(ValueError):
     """A distribution specification violates a named constraint."""
@@ -126,6 +112,18 @@ def _fmt(v) -> str:
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ",".join(_fmt(float(u)) for u in v) + "]"
     return str(v)
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; entries must be integers or floats
+    (not strings, bools or other objects)."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numbers")
+    return arr.astype(float)
 
 
 def _quantile_by_bisection(cdf, lo: float, hi: float, p, tol: float = 1e-12):
@@ -285,10 +283,7 @@ def beta_dist(alpha: float, beta: float) -> UnivariateDistribution:
 
 
 def piecewise(weights) -> UnivariateDistribution:
-    try:
-        c = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("piecewise weights must be numbers") from exc
+    c = _real_array(weights, "piecewise weights")
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("piecewise requires a non-empty weight vector")
     if np.any(c < 0.0):
@@ -363,10 +358,7 @@ def pareto(shape: float, scale: float) -> UnivariateDistribution:
 
 
 def tabulated(grid) -> UnivariateDistribution:
-    try:
-        pts = np.asarray(grid, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("tabulated grid entries must be numbers") from exc
+    pts = _real_array(grid, "tabulated grid entries")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValidationError("tabulated requires a grid of at least two (x, f) pairs")
     x = pts[:, 0]

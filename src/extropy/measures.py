@@ -14,22 +14,24 @@ plus the time derivatives of the weighted residual/past measures (in two
 competing closed forms, see :func:`weighted_residual_derivative`) and the
 decomposition identity Jw(X) = F(t)^2 Jw(tX) + sf(t)^2 Jw(X_t).
 
-Closed forms from the catalog are used when available; pass
-``force_quadrature=True`` to exercise the numeric path.  All finite values
-of these measures are non-positive.
+Every measure is -(1/(2 norm^2)) int g.  One table, ``_MEASURES``, gives
+each identifier a conditioning mode (None: the whole support, norm 1;
+"residual": (t, inf), norm sf(t); "past": (0, t), norm F(t)) and an
+integrand g (f^2, x f^2 or sf^2); ``MEASURE_IDS`` and
+``T_INDEXED_MEASURES`` derive from it.  Closed forms from the catalog are
+used when available; every identifier honours ``force_quadrature=True``,
+which forces the numeric path.  All finite values are non-positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .distributions import (
-    MEASURE_IDS,
-    T_INDEXED_MEASURES,
     UnivariateDistribution,
     ValidationError,
     closed_form,
@@ -38,6 +40,8 @@ from .quadrature import Integrand, differentiate, integrate
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
+    "MEASURE_IDS",
+    "T_INDEXED_MEASURES",
     "MEASURE_TOL",
     "ENGINE_TOL",
     "BOUNDARY_EPS",
@@ -75,26 +79,29 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ConditionalLifetime:
-    """Residual (X | X > t) or past (X | X <= t) view of a distribution."""
+    """Residual (X | X > t) or past (X | X <= t) view of a distribution.
+
+    ``norm`` is sf(t) for the residual and F(t) for the past view,
+    evaluated once on construction.
+    """
 
     base: UnivariateDistribution
     mode: str  # "residual" or "past"
     t: float
+    norm: float = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("residual", "past"):
             raise ValidationError(f"mode must be 'residual' or 'past', got {self.mode!r}")
         if not self.t > 0.0:
             raise DomainError("conditioning time t must be positive")
-        if self.norm < BOUNDARY_EPS:
+        f = self.base.sf if self.mode == "residual" else self.base.cdf
+        norm = float(f(np.asarray(self.t)))
+        if norm < BOUNDARY_EPS:
             which = "sf(t)" if self.mode == "residual" else "F(t)"
             raise DomainError(
-                f"{which} = {self.norm:.3e} at t={self.t}: conditional lifetime undefined")
-
-    @property
-    def norm(self) -> float:
-        f = self.base.sf if self.mode == "residual" else self.base.cdf
-        return float(f(np.asarray(self.t)))
+                f"{which} = {norm:.3e} at t={self.t}: conditional lifetime undefined")
+        object.__setattr__(self, "norm", norm)
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -172,131 +179,118 @@ def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
                      exponent_lower=exponent_lower, exponent_upper=exponent_upper)
 
 
-def _scaled_integral(g: Integrand, norm: Callable[[], float],
-                     tol: float = ENGINE_TOL) -> MeasureValue:
-    """-(1/(2*norm()^2)) times the integral of ``g``; infinite, of the
-    opposite sign to the integral, when it diverges.
+def _sf_squared_integrand(dist: UnivariateDistribution, lo: float,
+                          hi: float) -> Integrand:
+    """Integrand sf(x)^2 on (lo, hi), with the power tail of sf as a hint."""
+    sf, e = dist.sf, dist.sf_tail_exponent
+    power_tail = math.isinf(hi) and e is not None
+    return Integrand(lambda x: sf(x) ** 2, lo, hi, singular_upper=power_tail,
+                     exponent_upper=2.0 * e if power_tail else None)
 
-    ``norm`` is called only for a convergent integral, so a divergent one
-    costs no normaliser evaluation.
-    """
+
+def _scaled_integral(g: Integrand, norm: float,
+                     tol: float = ENGINE_TOL) -> MeasureValue:
+    """-(1/(2*norm^2)) times the integral of ``g``; infinite, of the
+    opposite sign to the integral, when it diverges."""
     r = integrate(g, tol=tol)
     if r.diverged:
         return MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
                             math.inf, diverged=True)
-    k = 0.5 / norm()**2
+    k = 0.5 / norm**2
     return MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate)
 
 
-def _scaled_tail_measure(dist, lo, hi, x_weight, scale,
-                         tol: float = ENGINE_TOL) -> MeasureValue:
-    """-(1/(2*scale^2)) times the integral of x^w f^2 over (lo, hi)."""
+# -- the measure table -------------------------------------------------------
+
+_F2 = partial(_f_squared_integrand, x_weight=False)
+_XF2 = partial(_f_squared_integrand, x_weight=True)
+
+# id -> (conditioning mode, integrand on (lo, hi)).  A mode of None means
+# the whole support with normaliser 1; otherwise the ConditionalLifetime of
+# that mode at t supplies bounds and normaliser, and the measure needs t.
+_MEASURES = {
+    "extropy": (None, _F2),
+    "weighted_extropy": (None, _XF2),
+    "residual_extropy": ("residual", _F2),
+    "past_extropy": ("past", _F2),
+    "weighted_residual_extropy": ("residual", _XF2),
+    "weighted_past_extropy": ("past", _XF2),
+    "dynamic_survival_extropy": ("residual", _sf_squared_integrand),
+}
+
+MEASURE_IDS = tuple(_MEASURES)
+T_INDEXED_MEASURES = tuple(m for m, (mode, _) in _MEASURES.items() if mode is not None)
+
+
+def _measure(measure_id: str, dist, t: float | None, force_quadrature: bool,
+             tol: float) -> MeasureValue:
+    """-(1/(2 norm^2)) int g over the measure's interval: the domain check
+    first, then the catalog closed form, then quadrature."""
+    mode, integrand = _MEASURES[measure_id]
+    if mode is None:
+        (lo, hi), norm = dist.support, 1.0
+    else:
+        cl = ConditionalLifetime(dist, mode, t)
+        (lo, hi), norm = cl.bounds, cl.norm
+    cf = closed_form(dist, measure_id, t=t)
+    if cf is not None and not force_quadrature:
+        return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
     if lo >= hi:
         return MeasureValue(0.0, "quadrature", 0.0)
-    return _scaled_integral(_f_squared_integrand(dist, lo, hi, x_weight),
-                            lambda: scale, tol)
+    return _scaled_integral(integrand(dist, lo, hi), norm, tol)
 
-
-# -- unconditional measures --------------------------------------------------
 
 def extropy(dist: UnivariateDistribution, *, force_quadrature: bool = False,
             tol: float = ENGINE_TOL) -> MeasureValue:
-    cf = closed_form(dist, "extropy")
-    if cf is not None and not force_quadrature:
-        return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
-    return _scaled_tail_measure(dist, *dist.support, x_weight=False, scale=1.0, tol=tol)
+    return _measure("extropy", dist, None, force_quadrature, tol)
 
 
 def weighted_extropy(dist: UnivariateDistribution, *,
                      force_quadrature: bool = False,
                      tol: float = ENGINE_TOL) -> MeasureValue:
-    cf = closed_form(dist, "weighted_extropy")
-    if cf is not None and not force_quadrature:
-        return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
-    return _scaled_tail_measure(dist, *dist.support, x_weight=True, scale=1.0, tol=tol)
+    return _measure("weighted_extropy", dist, None, force_quadrature, tol)
 
-
-# -- conditional measures ----------------------------------------------------
 
 def residual_extropy(dist, t: float, *, force_quadrature: bool = False,
                      tol: float = ENGINE_TOL) -> MeasureValue:
-    cl = ConditionalLifetime(dist, "residual", t)
-    lo, hi = cl.bounds
-    return _scaled_tail_measure(dist, lo, hi, x_weight=False, scale=cl.norm, tol=tol)
+    return _measure("residual_extropy", dist, t, force_quadrature, tol)
 
 
 def past_extropy(dist, t: float, *, force_quadrature: bool = False,
                  tol: float = ENGINE_TOL) -> MeasureValue:
-    cl = ConditionalLifetime(dist, "past", t)
-    lo, hi = cl.bounds
-    return _scaled_tail_measure(dist, lo, hi, x_weight=False, scale=cl.norm, tol=tol)
+    return _measure("past_extropy", dist, t, force_quadrature, tol)
 
 
 def weighted_residual_extropy(dist, t: float, *,
                               force_quadrature: bool = False,
                               tol: float = ENGINE_TOL) -> MeasureValue:
-    cl = ConditionalLifetime(dist, "residual", t)
-    cf = closed_form(dist, "weighted_residual_extropy", t=t)
-    if cf is not None and not force_quadrature:
-        return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
-    lo, hi = cl.bounds
-    return _scaled_tail_measure(dist, lo, hi, x_weight=True, scale=cl.norm, tol=tol)
+    return _measure("weighted_residual_extropy", dist, t, force_quadrature, tol)
 
 
 def weighted_past_extropy(dist, t: float, *,
                           force_quadrature: bool = False,
                           tol: float = ENGINE_TOL) -> MeasureValue:
-    cl = ConditionalLifetime(dist, "past", t)
-    lo, hi = cl.bounds
-    return _scaled_tail_measure(dist, lo, hi, x_weight=True, scale=cl.norm, tol=tol)
+    return _measure("weighted_past_extropy", dist, t, force_quadrature, tol)
 
 
 def dynamic_survival_extropy(dist, t: float, *,
                              force_quadrature: bool = False,
                              tol: float = ENGINE_TOL) -> MeasureValue:
-    cl = ConditionalLifetime(dist, "residual", t)
-    lo, hi = cl.bounds
-    if lo >= hi:
-        return MeasureValue(0.0, "quadrature", 0.0)
-    sf = dist.sf
-
-    def fn(x):
-        return sf(x) ** 2
-
-    singular_upper = False
-    exponent_upper = None
-    if math.isinf(hi) and dist.sf_tail_exponent is not None:
-        singular_upper = True
-        exponent_upper = 2.0 * dist.sf_tail_exponent
-    return _scaled_integral(Integrand(fn, lo, hi, singular_upper=singular_upper,
-                                      exponent_upper=exponent_upper),
-                            lambda: cl.norm, tol)
-
-
-_DISPATCH = {
-    "extropy": extropy,
-    "weighted_extropy": weighted_extropy,
-    "residual_extropy": residual_extropy,
-    "past_extropy": past_extropy,
-    "weighted_residual_extropy": weighted_residual_extropy,
-    "weighted_past_extropy": weighted_past_extropy,
-    "dynamic_survival_extropy": dynamic_survival_extropy,
-}
+    return _measure("dynamic_survival_extropy", dist, t, force_quadrature, tol)
 
 
 def compute_measure(dist, measure_id: str, t: float | None = None, *,
                     force_quadrature: bool = False,
                     tol: float = ENGINE_TOL) -> MeasureValue:
     """Dispatch a measure by identifier; t-indexed measures require t."""
-    if measure_id not in _DISPATCH:
+    if measure_id not in _MEASURES:
         raise ValidationError(
             f"unknown measure {measure_id!r}; valid measures: {', '.join(MEASURE_IDS)}")
-    fn = _DISPATCH[measure_id]
-    if measure_id in T_INDEXED_MEASURES:
-        if t is None:
-            raise ValidationError(f"measure {measure_id!r} requires a time t")
-        return fn(dist, t, force_quadrature=force_quadrature, tol=tol)
-    return fn(dist, force_quadrature=force_quadrature, tol=tol)
+    if _MEASURES[measure_id][0] is None:
+        t = None
+    elif t is None:
+        raise ValidationError(f"measure {measure_id!r} requires a time t")
+    return _measure(measure_id, dist, t, force_quadrature, tol)
 
 
 # -- derivatives of the weighted conditional measures ------------------------
@@ -316,28 +310,34 @@ def _fd_scale(dist, t: float, mode: str) -> float:
     return min(0.25 * room, 0.1 * (1.0 + t))
 
 
+def _weighted_derivative(dist, t: float, mode: str) -> DerivativeComparison:
+    """d/dt of Jw(X_t) (mode "residual") or Jw(tX) (mode "past"): finite
+    difference vs the two candidate identities."""
+    # Looked up at call time, so a rebound module attribute sees every
+    # stencil evaluation.
+    measure = weighted_residual_extropy if mode == "residual" else weighted_past_extropy
+    num = differentiate(lambda u: measure(dist, u, force_quadrature=True).value,
+                        t, _fd_scale(dist, t, mode))
+    jw = measure(dist, t, force_quadrature=True).value
+    if mode == "residual":
+        r = float(dist.hazard(np.asarray(t)))
+        claimed = (r / 2.0) * (jw + t * r)
+        corrected = 2.0 * r * jw + t * r * r / 2.0
+    else:
+        q = float(dist.reversed_hazard(np.asarray(t)))
+        claimed = -(q / 2.0) * (jw + t * q)
+        corrected = -2.0 * q * jw - t * q * q / 2.0
+    return DerivativeComparison(num.value, claimed, corrected, num.abs_error_estimate)
+
+
 def weighted_residual_derivative(dist, t: float) -> DerivativeComparison:
     """d/dt of Jw(X_t): finite difference vs the two candidate identities."""
-    num = differentiate(
-        lambda u: weighted_residual_extropy(dist, u, force_quadrature=True).value,
-        t, _fd_scale(dist, t, "residual"))
-    jw = weighted_residual_extropy(dist, t, force_quadrature=True).value
-    r = float(dist.hazard(np.asarray(t)))
-    claimed = (r / 2.0) * (jw + t * r)
-    corrected = 2.0 * r * jw + t * r * r / 2.0
-    return DerivativeComparison(num.value, claimed, corrected, num.abs_error_estimate)
+    return _weighted_derivative(dist, t, "residual")
 
 
 def weighted_past_derivative(dist, t: float) -> DerivativeComparison:
     """d/dt of Jw(tX): finite difference vs the two candidate identities."""
-    num = differentiate(
-        lambda u: weighted_past_extropy(dist, u, force_quadrature=True).value,
-        t, _fd_scale(dist, t, "past"))
-    jw = weighted_past_extropy(dist, t, force_quadrature=True).value
-    q = float(dist.reversed_hazard(np.asarray(t)))
-    claimed = -(q / 2.0) * (jw + t * q)
-    corrected = -2.0 * q * jw - t * q * q / 2.0
-    return DerivativeComparison(num.value, claimed, corrected, num.abs_error_estimate)
+    return _weighted_derivative(dist, t, "past")
 
 
 # -- decomposition identity --------------------------------------------------

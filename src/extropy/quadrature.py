@@ -421,7 +421,7 @@ def integrate(g: Integrand, tol: float = DEFAULT_TOL,
     :class:`DivergenceUndecidedError`.  Running out of evaluations raises
     :class:`EvaluationBudgetError`.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     b = _Budget(budget)
     finite = _map_infinite(g)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import UnivariateDistribution, ValidationError
 from .measures import (
-    BOUNDARY_EPS,
+    ConditionalLifetime,
     DomainError,
     MeasureValue,
     _scaled_integral,
@@ -202,7 +202,7 @@ def _ratio_integrand(dist, tr: MonotoneTransform, lo: float, hi: float) -> Integ
 def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> MeasureValue:
     """Jw of phi(X), evaluated in the x-domain."""
     _check_transform(dist, tr)
-    return _scaled_integral(_ratio_integrand(dist, tr, *dist.support), lambda: 1.0)
+    return _scaled_integral(_ratio_integrand(dist, tr, *dist.support), 1.0)
 
 
 def linear_transform_extropy(dist, a: float, b: float) -> tuple[MeasureValue, MeasureValue]:
@@ -234,21 +234,15 @@ def transformed_residual_past(dist, tr: MonotoneTransform,
     if not (lo < xt < hi) or not math.isfinite(xt):
         raise DomainError(
             f"phi_inverse({t}) = {xt} is outside the base support ({lo}, {hi})")
-    F = float(dist.cdf(np.asarray(xt)))
-    S = float(dist.sf(np.asarray(xt)))
 
-    def scaled(lo_i, hi_i, norm) -> MeasureValue:
-        if norm < BOUNDARY_EPS:
-            raise DomainError(f"normalizer {norm:.3e} too small at t={t}")
-        return _scaled_integral(_ratio_integrand(dist, tr, lo_i, hi_i), lambda: norm)
+    def side(mode: str) -> MeasureValue:
+        cl = ConditionalLifetime(dist, mode, xt)
+        return _scaled_integral(_ratio_integrand(dist, tr, *cl.bounds), cl.norm)
 
     if tr.direction == "increasing":
-        residual = scaled(xt, hi, S)
-        past = scaled(lo, xt, F)
-    else:
-        residual = scaled(lo, xt, F)
-        past = scaled(xt, hi, S)
-    return residual, past
+        return side("residual"), side("past")
+    # A decreasing phi maps the residual side of Y onto the past side of X.
+    return side("past"), side("residual")
 
 
 # -- pushforward cross-check -------------------------------------------------

@@ -1,0 +1,44 @@
+"""The library surface the benchmark's outside-in tracer relies on.
+
+``perfbench/tracer.py`` rebinds public module attributes by name and counts
+the calls that go through them.  A refactor that drops one of those names,
+or that stores a public function at import time where the tracer cannot
+reach it, should fail here and not only when the benchmark runs.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from extropy import measures as ms
+from extropy.distributions import gamma_dist
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists(tracer):
+    for layer, (home, names) in tracer.LAYERS.items():
+        module = importlib.import_module(home)
+        for name in names:
+            assert callable(getattr(module, name, None)), (layer, home, name)
+
+
+@pytest.mark.parametrize("side", ["residual", "past"])
+def test_derivative_spans_count_every_stencil_evaluation(tracer, side):
+    d = gamma_dist(2.0, 1.0)
+    with tracer.Tracer() as tr:
+        getattr(ms, f"weighted_{side}_derivative")(d, 1.0)
+    h_evals = tr.counts["quadrature.differentiate.h_evals"]
+    assert h_evals > 0
+    # One span for the derivative, one for Jw at t, one per stencil point.
+    assert tr.calls["measures"] == 2 + h_evals

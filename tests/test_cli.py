@@ -82,10 +82,11 @@ class TestMeasureCommand:
         assert json.loads(err)["error"]["type"] == "numerical"
 
     def test_tolerance_override_floor(self):
-        code, _, err = run_cli("measure", "--dist", EXP1,
-                               "--measure", "extropy", "--tol", "1e-13")
-        assert code == 2
-        assert ">= 1e-12" in json.loads(err)["error"]["message"]
+        for tol in ("1e-13", "nan"):
+            code, _, err = run_cli("measure", "--dist", EXP1,
+                                   "--measure", "extropy", "--tol", tol)
+            assert code == 2, tol
+            assert ">= 1e-12" in json.loads(err)["error"]["message"]
 
 
 class TestCurveCommand:
@@ -329,13 +330,19 @@ class TestOutputContract:
          "--measure", "extropy"),
         ("measure", "--dist", '{"family":"tabulated","grid":[[0,"x"],[1,2]]}',
          "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"piecewise","params":{"weights":["0.5","0.5"]}}',
+         "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"piecewise","params":{"weights":[true,false]}}',
+         "--measure", "extropy"),
+        ("measure", "--dist", '{"family":"tabulated","grid":[[0,"1"],[1,"1"]]}',
+         "--measure", "extropy"),
         ("bivariate", "--dist",
          '{"family":"bivariate_beta","params":{"alpha":"1","beta":1,"gamma":1}}'),
         ("bivariate", "--dist",
          '{"family":"bivariate_beta","params":{"alpha":1,"beta":1,"gamma":1,"delta":1}}'),
     ], ids=["not-json", "string-param", "null-param", "params-not-mapping",
-            "string-weight", "string-grid", "bivariate-string-param",
-            "bivariate-unknown-param"])
+            "string-weight", "string-grid", "string-number-weight", "bool-weight",
+            "string-number-grid", "bivariate-string-param", "bivariate-unknown-param"])
     def test_error_document_is_machine_readable(self, args):
         code, _, err = run_cli(*args)
         assert code == 2

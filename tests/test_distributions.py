@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extropy import MEASURE_IDS
 from extropy.distributions import (
-    MEASURE_IDS,
     ValidationError,
     beta2,
     beta3,

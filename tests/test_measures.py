@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,9 @@ from extropy.distributions import (
     uniform,
 )
 from extropy.measures import (
+    MEASURE_IDS,
+    T_INDEXED_MEASURES,
+    _MEASURES,
     ConditionalLifetime,
     DomainError,
     compute_measure,
@@ -135,6 +139,18 @@ class TestConditionalLifetime:
             lo, hi = cl.bounds
             r = integrate(Integrand(cl.density, lo, hi), tol=1e-9)
             assert r.value == pytest.approx(1.0, abs=1e-8), d.label
+
+    def test_normaliser_evaluated_once(self):
+        d = gamma_dist(2.0, 1.0)
+        calls = []
+
+        def sf(x):
+            calls.append(x)
+            return d.sf(x)
+
+        counted = dataclasses.replace(d, sf=sf)
+        weighted_residual_extropy(counted, 1.0, force_quadrature=True)
+        assert len(calls) == 1
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -326,6 +342,11 @@ class TestDispatch:
                     else:
                         assert quad.value == pytest.approx(
                             auto.value, rel=1e-8, abs=1e-12), (d.label, mid, t)
+
+    def test_table_is_the_id_registry(self):
+        assert tuple(_MEASURES) == MEASURE_IDS
+        for mid, (mode, _) in _MEASURES.items():
+            assert (mid in T_INDEXED_MEASURES) == (mode is not None), mid
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="valid measures"):

@@ -39,8 +39,9 @@ class TestIntegrateBasics:
             Integrand(lambda x: x, 2.0, 1.0)
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            integrate_fn(lambda x: x, 0.0, 1.0, tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                integrate_fn(lambda x: x, 0.0, 1.0, tol=tol)
 
 
 class TestSingularEndpoints:
