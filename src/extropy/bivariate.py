@@ -71,7 +71,8 @@ class BivariateDistribution:
     a scalar y.  ``inner_hints`` and ``outer_hints`` give the analytic
     endpoint exponents of the inner integrand (in x, at fixed y) and of
     the reduced outer integrand (in y) for each integrand kind; None
-    entries mean no power behaviour.
+    entries mean no power behaviour.  They are raw exponents: the engine
+    decides which endpoints are singular (see :class:`Integrand`).
     """
 
     kind: str
@@ -88,21 +89,6 @@ class BivariateDistribution:
     def label(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.kind}({inner})"
-
-
-def _hinted_integrand(fn, lo: float, hi: float,
-                      hints: tuple[float | None, float | None]) -> Integrand:
-    """Integrand carrying the analytic endpoint exponents that matter.
-
-    A finite endpoint is singular when its exponent is negative; an
-    infinite one whenever it has a power tail at all.
-    """
-    e_lo, e_hi = hints
-    sing_lo = e_lo is not None and e_lo < 0.0
-    sing_hi = e_hi is not None and (math.isinf(hi) or e_hi < 0.0)
-    return Integrand(fn, lo, hi, singular_lower=sing_lo, singular_upper=sing_hi,
-                     exponent_lower=e_lo if sing_lo else None,
-                     exponent_upper=e_hi if sing_hi else None)
 
 
 # -- families ----------------------------------------------------------------
@@ -166,21 +152,14 @@ def product_distribution(x_dist: UnivariateDistribution,
     def pdf_pairs(x, y):
         return fx(np.asarray(x, dtype=float)) * fy(np.asarray(y, dtype=float))
 
-    def marginal_hints(dist, kind):
-        p, w = _KINDS[kind]
-        p_lo, p_hi = dist.pdf_edge_exponents
-        lo = None if p_lo is None else p * p_lo + (w if dist.support[0] == 0.0 else 0)
-        hi = None if p_hi is None else p * p_hi + w
-        return lo, hi
-
     def sampler(rng, n):
         return x_dist.sample(rng, n), y_dist.sample(rng, n)
 
     return BivariateDistribution(
         kind="product", params={"x": x_dist.label, "y": y_dist.label},
         y_range=y_dist.support, x_range=lambda y: x_dist.support, pdf_pairs=pdf_pairs,
-        inner_hints=lambda kind: marginal_hints(x_dist, kind),
-        outer_hints=lambda kind: marginal_hints(y_dist, kind),
+        inner_hints=lambda kind: x_dist.edge_exponents(*_KINDS[kind]),
+        outer_hints=lambda kind: y_dist.edge_exponents(*_KINDS[kind]),
         sampler=sampler)
 
 
@@ -218,7 +197,7 @@ def make_bivariate(spec: Mapping) -> BivariateDistribution:
 def _iterated(bd: BivariateDistribution, kind: str,
               tol_outer: float = OUTER_TOL, tol_inner: float = INNER_TOL):
     p, w = _KINDS[kind]
-    inner = bd.inner_hints(kind)
+    in_lo, in_hi = bd.inner_hints(kind)
     evals = [0]
 
     def outer_scalar(y: float) -> float:
@@ -233,15 +212,17 @@ def _iterated(bd: BivariateDistribution, kind: str,
                 v = v * x * y
             return v
 
-        r = integrate(_hinted_integrand(fn, lo, hi, inner), tol=tol_inner)
+        r = integrate(Integrand(fn, lo, hi, exponent_lower=in_lo, exponent_upper=in_hi),
+                      tol=tol_inner)
         evals[0] += r.evaluations
         return r.value
 
     def outer_fn(ys):
         return np.array([outer_scalar(float(y)) for y in np.atleast_1d(ys)])
 
-    r = integrate(_hinted_integrand(outer_fn, *bd.y_range, bd.outer_hints(kind)),
-                  tol=tol_outer)
+    out_lo, out_hi = bd.outer_hints(kind)
+    r = integrate(Integrand(outer_fn, *bd.y_range, exponent_lower=out_lo,
+                            exponent_upper=out_hi), tol=tol_outer)
     return r, evals[0] + r.evaluations
 
 

@@ -67,9 +67,11 @@ class UnivariateDistribution:
 
     ``pdf_edge_exponents`` holds the local power of f at the two support
     edges (an exponent at an infinite edge describes the tail; None means
-    the tail decays faster than any power).  ``closed_forms`` maps measure
-    identifiers to analytic values: a float, -inf for a divergent measure,
-    or a callable of t for time-indexed measures.
+    the tail decays faster than any power).  It is the single source of
+    edge behaviour: :meth:`edge_exponents` derives the powers of every
+    integrand built from f.  ``closed_forms`` maps measure identifiers to
+    analytic values: a float, -inf for a divergent measure, or a callable
+    of t for time-indexed measures.
     """
 
     family: str
@@ -80,13 +82,26 @@ class UnivariateDistribution:
     sf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
     pdf_edge_exponents: tuple[float | None, float | None] = (None, None)
-    sf_tail_exponent: float | None = None
     closed_forms: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def label(self) -> str:
         inner = ", ".join(f"{k}={_fmt(v)}" for k, v in self.params.items())
         return f"{self.family}({inner})"
+
+    def edge_exponents(self, power: float = 1, weighted: bool = False
+                       ) -> tuple[float | None, float | None]:
+        """Local powers of x**w * f**power at (lower, upper), w = 1 if weighted.
+
+        The weight x adds 1 only at an edge at 0 and to an infinite tail;
+        at any other finite edge it tends to a constant.  None where
+        ``pdf_edge_exponents`` is None.
+        """
+        lo, hi = self.support
+        p_lo, p_hi = self.pdf_edge_exponents
+        w = 1.0 if weighted else 0.0
+        return (None if p_lo is None else power * p_lo + (w if lo == 0.0 else 0.0),
+                None if p_hi is None else power * p_hi + (w if math.isinf(hi) else 0.0))
 
     def hazard(self, x):
         """f/sf where the survival function is positive."""
@@ -353,8 +368,7 @@ def pareto(shape: float, scale: float) -> UnivariateDistribution:
         family="pareto", params={"shape": k, "scale": sig},
         support=(sig, math.inf),
         pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
-        pdf_edge_exponents=(0.0, -(k + 1.0)),
-        sf_tail_exponent=-k)
+        pdf_edge_exponents=(0.0, -(k + 1.0)))
 
 
 def tabulated(grid) -> UnivariateDistribution:

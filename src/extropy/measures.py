@@ -146,7 +146,7 @@ class DerivativeComparison:
 
 def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
                          x_weight: bool) -> Integrand:
-    """Integrand x^w f(x)^2 on (lo, hi) with analytic singularity hints."""
+    """Integrand x^w f(x)^2 on (lo, hi), hinted at the support edges it reaches."""
     pdf = dist.pdf
     if x_weight:
         def fn(x):
@@ -155,37 +155,19 @@ def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
         def fn(x):
             return pdf(x) ** 2
 
+    e_lo, e_hi = dist.edge_exponents(2, x_weight)
     sup_lo, sup_hi = dist.support
-    p_lo, p_hi = dist.pdf_edge_exponents
-
-    singular_lower = False
-    exponent_lower = None
-    if lo == sup_lo and p_lo is not None:
-        e = 2.0 * p_lo + (1.0 if (x_weight and sup_lo == 0.0) else 0.0)
-        if e < 0.0:
-            singular_lower, exponent_lower = True, e
-
-    singular_upper = False
-    exponent_upper = None
-    if math.isinf(hi):
-        if p_hi is not None:  # power tail; else decays faster than any power
-            singular_upper = True
-            exponent_upper = 2.0 * p_hi + (1.0 if x_weight else 0.0)
-    elif hi == sup_hi and p_hi is not None and 2.0 * p_hi < 0.0:
-        singular_upper, exponent_upper = True, 2.0 * p_hi
-
-    return Integrand(fn, lo, hi, singular_lower=singular_lower,
-                     singular_upper=singular_upper,
-                     exponent_lower=exponent_lower, exponent_upper=exponent_upper)
+    return Integrand(fn, lo, hi, exponent_lower=e_lo if lo == sup_lo else None,
+                     exponent_upper=e_hi if hi == sup_hi else None)
 
 
 def _sf_squared_integrand(dist: UnivariateDistribution, lo: float,
                           hi: float) -> Integrand:
-    """Integrand sf(x)^2 on (lo, hi), with the power tail of sf as a hint."""
-    sf, e = dist.sf, dist.sf_tail_exponent
-    power_tail = math.isinf(hi) and e is not None
-    return Integrand(lambda x: sf(x) ** 2, lo, hi, singular_upper=power_tail,
-                     exponent_upper=2.0 * e if power_tail else None)
+    """Integrand sf(x)^2 on (lo, hi).  A power tail f ~ x^p gives
+    sf ~ x^(p+1), hinted at an infinite upper limit."""
+    sf, p = dist.sf, dist.pdf_edge_exponents[1]
+    tail = 2.0 * (p + 1.0) if math.isinf(hi) and p is not None else None
+    return Integrand(lambda x: sf(x) ** 2, lo, hi, exponent_upper=tail)
 
 
 def _scaled_integral(g: Integrand, norm: float,

@@ -123,9 +123,13 @@ class Integrand:
 
     ``exponent_lower``/``exponent_upper`` are optional analytic hints: the
     local power of ``fn`` at the endpoint (for an infinite endpoint, the
-    power of the tail).  When present they override the numeric power-law
-    fit, which matters for integrands sitting exactly on the logarithmic
-    boundary p = -1.
+    power of the tail).  A negative hint makes its endpoint singular; a
+    non-negative one leaves a finite endpoint regular unless it is
+    declared singular, and an infinite endpoint is always singular.  On a
+    singular endpoint the hint overrides the numeric power-law fit, which
+    matters for integrands sitting exactly on the logarithmic boundary
+    p = -1.  ``singular_lower``/``singular_upper`` declare a singular
+    endpoint without a hint, leaving its classification to that fit.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -139,6 +143,10 @@ class Integrand:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"integrand needs lower < upper, got [{self.lower}, {self.upper}]")
+        if self.exponent_lower is not None and self.exponent_lower < 0.0:
+            object.__setattr__(self, "singular_lower", True)
+        if self.exponent_upper is not None and self.exponent_upper < 0.0:
+            object.__setattr__(self, "singular_upper", True)
 
 
 @dataclass(frozen=True)
@@ -377,36 +385,26 @@ def _extrapolate_tail(values, exponent) -> tuple[float, float]:
 
 def _map_infinite(g: Integrand) -> Integrand:
     """Substitute away infinite endpoints, mapping onto a finite interval."""
-    a, b = g.lower, g.upper
-    if not math.isinf(a) and not math.isinf(b):
-        return g
-    if math.isinf(a) and math.isinf(b):
+    if math.isinf(g.lower) and math.isinf(g.upper):
         raise ValueError("doubly-infinite integrands must be split at a finite point")
-    if math.isinf(b):
-        fn = g.fn
+    if math.isinf(g.lower):
+        # Reflect x -> -y onto (-upper, inf); the sides swap.
+        g = Integrand(lambda y, _fn=g.fn: _fn(-y), -g.upper, math.inf,
+                      singular_lower=g.singular_upper, singular_upper=g.singular_lower,
+                      exponent_lower=g.exponent_upper, exponent_upper=g.exponent_lower)
+    if not math.isinf(g.upper):
+        return g
 
-        def mapped(u, _fn=fn, _a=a):
-            w = 1.0 - u
-            return _fn(_a + u / w) / (w * w)
-
-        # Tail power p at +inf becomes -(2 + p) at u = 1.
-        exp_u = None if g.exponent_upper is None else -(2.0 + g.exponent_upper)
-        return Integrand(mapped, 0.0, 1.0,
-                         singular_lower=g.singular_lower,
-                         singular_upper=True,
-                         exponent_lower=g.exponent_lower,
-                         exponent_upper=exp_u)
-    fn = g.fn
-
-    def mapped(u, _fn=fn, _b=b):
+    def mapped(u, _fn=g.fn, _a=g.lower):
         w = 1.0 - u
-        return _fn(_b - u / w) / (w * w)
+        return _fn(_a + u / w) / (w * w)
 
-    exp_u = None if g.exponent_lower is None else -(2.0 + g.exponent_lower)
+    # Tail power p at +inf becomes -(2 + p) at u = 1.
+    exp_u = None if g.exponent_upper is None else -(2.0 + g.exponent_upper)
     return Integrand(mapped, 0.0, 1.0,
-                     singular_lower=g.singular_upper,
+                     singular_lower=g.singular_lower,
                      singular_upper=True,
-                     exponent_lower=g.exponent_upper,
+                     exponent_lower=g.exponent_lower,
                      exponent_upper=exp_u)
 
 

@@ -236,7 +236,10 @@ def transformed_residual_past(dist, tr: MonotoneTransform,
             f"phi_inverse({t}) = {xt} is outside the base support ({lo}, {hi})")
 
     def side(mode: str) -> MeasureValue:
-        cl = ConditionalLifetime(dist, mode, xt)
+        try:
+            cl = ConditionalLifetime(dist, mode, xt)
+        except DomainError as exc:
+            raise DomainError(f"at t={t} (x-domain {xt}): {exc}") from exc
         return _scaled_integral(_ratio_integrand(dist, tr, *cl.bounds), cl.norm)
 
     if tr.direction == "increasing":

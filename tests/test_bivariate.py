@@ -15,8 +15,10 @@ from extropy.bivariate import (
 )
 from extropy.distributions import (
     ValidationError,
+    beta_dist,
     exponential,
     gamma_dist,
+    pareto,
     uniform,
 )
 
@@ -104,6 +106,9 @@ class TestIndependenceFactorization:
         (exponential(1.0), uniform(0, 1)),
         (gamma_dist(2.0, 1.0), exponential(2.0)),
         (uniform(0, 2), uniform(0, 2)),
+        # singular finite upper edge of the beta, weighted and unweighted
+        (pareto(1, 1), beta_dist(4, 0.68)),
+        (beta_dist(4, 0.68), pareto(1, 1)),
     ])
     def test_catalog_pairs(self, x, y):
         rep = independence_factorization_check(x, y)

@@ -147,6 +147,19 @@ class TestFamilies:
         xs = np.linspace(0.5, 8.0, 200)
         assert xs[np.argmax(d.pdf(xs))] == pytest.approx(3.0, abs=0.1)
 
+    @pytest.mark.parametrize("dist, power, weighted, want", [
+        (beta_dist(0.7, 0.8), 2, True, (2 * -0.3 + 1, 2 * -0.2)),
+        (beta_dist(0.7, 0.8), 1, False, (-0.3, -0.2)),
+        # the weight adds nothing at a finite edge away from 0
+        (beta_dist(4.0, 0.68), 2, True, (2 * 3.0 + 1, 2 * -0.32)),
+        (pareto(2.0, 1.0), 2, True, (0.0, -5.0)),
+        (pareto(2.0, 1.0), 2, False, (0.0, -6.0)),
+        (gamma_dist(0.5, 1.0), 2, True, (0.0, None)),
+        (uniform(1.0, 3.0), 2, True, (0.0, 0.0)),
+    ])
+    def test_edge_exponents(self, dist, power, weighted, want):
+        assert dist.edge_exponents(power, weighted) == pytest.approx(want)
+
 
 class TestClosedForms:
     def test_exponential_weighted(self):

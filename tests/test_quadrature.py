@@ -33,6 +33,9 @@ class TestIntegrateBasics:
     def test_lower_infinite(self):
         r = integrate_fn(lambda x: np.exp(2.0 * x), -np.inf, 0.0)
         assert r.value == pytest.approx(0.5, abs=1e-11)
+        # hinted power tail: int_-inf^0 (1-x)**-2.5 dx = 1/1.5
+        r = integrate_fn(lambda x: (1.0 - x) ** -2.5, -np.inf, 0.0, exponent_lower=-2.5)
+        assert r.value == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -100,6 +103,14 @@ class TestDetectDivergence:
     def test_strong_singularity_divergent(self):
         g = Integrand(lambda x: x**-1.2, 0.0, 1.0, singular_lower=True)
         assert detect_divergence(g) == {"lower": "divergent"}
+
+    def test_hint_sign_decides_singularity(self):
+        # No flag: a negative hint makes the endpoint singular, a
+        # non-negative one leaves it regular.
+        g = Integrand(lambda x: x**-0.5, 0.0, 1.0, exponent_lower=-0.5)
+        assert detect_divergence(g) == {"lower": "convergent"}
+        g = Integrand(lambda x: x**0.5, 0.0, 1.0, exponent_lower=0.5)
+        assert detect_divergence(g) == {}
 
     def test_boundary_case_inconclusive(self):
         g = Integrand(lambda x: 1.0 / x, 0.0, 1.0, singular_lower=True)

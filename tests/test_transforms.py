@@ -159,6 +159,10 @@ class TestTransformedResidualPast:
         with pytest.raises(DomainError):
             transformed_residual_past(exponential(1.0), scale_transform(1.0), 0.0)
 
+    def test_vanishing_normaliser_names_callers_t(self):
+        with pytest.raises(DomainError, match=r"^at t=1e\+18 \(x-domain 41\.4465"):
+            transformed_residual_past(exponential(1.0), exp_transform(), 1e18)
+
     def test_t_outside_image_rejected(self):
         with pytest.raises(DomainError):
             transformed_residual_past(uniform(0, 1), scale_transform(2.0), 3.0)
