@@ -10,10 +10,11 @@ integral by (-1/2)**k, which is +1/4 at k = 2).  Regions: a product of
 two univariate supports, the triangle 0 < x < y < 1 of the bivariate beta
 family, or a caller-supplied rectangle.  Evaluation is iterated adaptive
 quadrature, inner in x at fixed y, with analytic endpoint exponents
-supplied per family.  :func:`compute_bivariate` dispatches the two
-measures by identifier (``BIVARIATE_MEASURE_IDS``); both use the family's
-closed form unless ``force_quadrature`` is set.  If X and Y are
-independent, J(X,Y) = J(X) J(Y) and Jw(X,Y) = Jw(X) Jw(Y);
+supplied per family; :func:`iterated_integral` is the one nested path (the
+sum bound's convolution uses it too).  :func:`compute_bivariate`
+dispatches the two measures by identifier (``BIVARIATE_MEASURE_IDS``);
+both use the family's closed form unless ``force_quadrature`` is set.  If
+X and Y are independent, J(X,Y) = J(X) J(Y) and Jw(X,Y) = Jw(X) Jw(Y);
 :func:`independence_factorization_check` verifies this against the 2-d
 quadrature.
 """
@@ -34,7 +35,7 @@ from .distributions import (
     make_distribution,
 )
 from .measures import MeasureValue, extropy, weighted_extropy
-from .quadrature import Integrand, integrate
+from .quadrature import Integrand, QuadratureResult, integrate
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
@@ -49,13 +50,13 @@ __all__ = [
     "BIVARIATE_MEASURE_IDS",
     "compute_bivariate",
     "independence_factorization_check",
-    "INNER_TOL",
+    "iterated_integral",
     "OUTER_TOL",
     "TOL_2D",
 ]
 
-# Iterated quadrature compounds error; the 2-d layer promises 1e-6.
-INNER_TOL = 1e-9
+# Iterated quadrature compounds error; the 2-d layer promises TOL_2D.  The
+# outer integral runs at OUTER_TOL, each inner one at 1e-2 of the outer.
 OUTER_TOL = 1e-7
 TOL_2D = 1e-6
 
@@ -194,16 +195,38 @@ def make_bivariate(spec: Mapping) -> BivariateDistribution:
 
 # -- iterated quadrature -----------------------------------------------------
 
-def _iterated(bd: BivariateDistribution, kind: str,
-              tol_outer: float = OUTER_TOL, tol_inner: float = INNER_TOL):
-    p, w = _KINDS[kind]
-    in_lo, in_hi = bd.inner_hints(kind)
-    evals = [0]
+def iterated_integral(inner_at, lower: float, upper: float, *, exponents=(None, None),
+                      combine=None, tol: float = OUTER_TOL) -> QuadratureResult:
+    """Integral over y in (lower, upper) of combine(y, I(y)), where I(y)
+    integrates the Integrand ``inner_at(y)`` (None: an empty range, I = 0).
+
+    ``combine`` defaults to I(y) itself; ``exponents`` are the outer endpoint
+    hints.  The outer integral runs at ``tol``, each inner one at
+    max(1e-12, 1e-2 tol).
+    """
+    tol_inner = max(1e-12, 1e-2 * tol)
 
     def outer_scalar(y: float) -> float:
+        g = inner_at(y)
+        v = 0.0 if g is None else integrate(g, tol=tol_inner).value
+        return v if combine is None else combine(y, v)
+
+    def outer_fn(ys):
+        return np.array([outer_scalar(float(y)) for y in np.atleast_1d(ys)])
+
+    return integrate(Integrand(outer_fn, lower, upper, exponent_lower=exponents[0],
+                               exponent_upper=exponents[1]), tol=tol)
+
+
+def _iterated(bd: BivariateDistribution, kind: str,
+              tol: float = OUTER_TOL) -> QuadratureResult:
+    p, w = _KINDS[kind]
+    in_lo, in_hi = bd.inner_hints(kind)
+
+    def inner_at(y: float) -> Integrand | None:
         lo, hi = bd.x_range(y)
         if not lo < hi:
-            return 0.0
+            return None
 
         def fn(x):
             f = bd.pdf_pairs(x, y)
@@ -212,24 +235,15 @@ def _iterated(bd: BivariateDistribution, kind: str,
                 v = v * x * y
             return v
 
-        r = integrate(Integrand(fn, lo, hi, exponent_lower=in_lo, exponent_upper=in_hi),
-                      tol=tol_inner)
-        evals[0] += r.evaluations
-        return r.value
+        return Integrand(fn, lo, hi, exponent_lower=in_lo, exponent_upper=in_hi)
 
-    def outer_fn(ys):
-        return np.array([outer_scalar(float(y)) for y in np.atleast_1d(ys)])
-
-    out_lo, out_hi = bd.outer_hints(kind)
-    r = integrate(Integrand(outer_fn, *bd.y_range, exponent_lower=out_lo,
-                            exponent_upper=out_hi), tol=tol_outer)
-    return r, evals[0] + r.evaluations
+    return iterated_integral(inner_at, *bd.y_range, exponents=bd.outer_hints(kind),
+                             tol=tol)
 
 
 def bivariate_mass(bd: BivariateDistribution) -> float:
     """Total mass of the joint density (unit for a valid member)."""
-    r, _ = _iterated(bd, "density")
-    return r.value
+    return _iterated(bd, "density").value
 
 
 def _quarter_integral(bd, kind: str, closed_id: str, force_quadrature: bool,
@@ -237,7 +251,7 @@ def _quarter_integral(bd, kind: str, closed_id: str, force_quadrature: bool,
     cf = bd.closed_forms.get(closed_id)
     if cf is not None and not force_quadrature:
         return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
-    r, _ = _iterated(bd, kind, tol_outer=tol, tol_inner=max(1e-12, 1e-2 * tol))
+    r = _iterated(bd, kind, tol)
     if r.diverged:
         return MeasureValue(math.inf, "quadrature", math.inf, diverged=True)
     return MeasureValue(0.25 * r.value, "quadrature", 0.25 * r.abs_error_estimate)

@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: measure | curve | bivariate | transform | claims | mc.
-Distribution specs are JSON documents, inline or in a file; see the
-distributions and bivariate modules for the schemas.  Output is a table in
-JSON or CSV (12 significant digits in CSV; -inf rendered as the literal
-string "-inf" in both).  Exit codes: 0 success, 2 validation error,
-3 numerical failure, 4 claim violations present under --strict.
+Subcommands: measure | curve | bivariate | transform | claims | mc.  Each
+takes only the options its handler reads (``_COMMANDS``), plus --format
+and --out.  Distribution specs are JSON documents, inline or in a file; see
+the distributions and bivariate modules for the schemas.  Output is a table
+in JSON or CSV (12 significant digits in CSV; -inf rendered as the literal
+string "-inf" in both).  Exit codes: 0 success, 2 validation error (usage
+errors and unwritable --out paths included), 3 numerical failure, 4 claim
+violations present under --strict; 2 and 3 come with a JSON error document
+on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,87 +26,71 @@ from . import claims as cl
 from . import distributions as ds
 from . import measures as ms
 from . import transforms as tf
-from .bivariate import BIVARIATE_MEASURE_IDS, compute_bivariate, make_bivariate
+from .bivariate import BIVARIATE_MEASURE_IDS, OUTER_TOL, compute_bivariate, make_bivariate
 from .quadrature import (
+    DEFAULT_TOL,
     DivergenceUndecidedError,
     EvaluationBudgetError,
     EvaluationError,
 )
 from .reporting import VIOLATED
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; together with the seed it fully determines output."""
+# Every option any subcommand takes; the flag is --<name>.
+_OPTIONS = {
+    "dist": dict(action="append", default=[],
+                 help="distribution spec: inline JSON or a path to a JSON file "
+                      "(claims: repeatable, X then Y for a pair claim)"),
+    "measure": dict(default=None, help="comma-separated measure identifiers"),
+    "t": dict(type=float, default=None, help="conditioning time"),
+    "grid": dict(default=None, help="t-grid: lo:hi:n (linear) or geometric:lo:hi:n"),
+    "claims": dict(default=None, help="comma-separated claim identifiers"),
+    "transform": dict(default=None,
+                      help="transform name: scale:a | affine:a,b | square | exp | pit"),
+    "tol": dict(type=float, default=None, help="tolerance override (>= 1e-12)"),
+    "seed": dict(type=int, default=0, help="RNG seed"),
+    "n": dict(type=int, default=10**6, help="Monte-Carlo sample count"),
+    "strict": dict(action="store_true",
+                   help="exit 4 when any claim verdict is 'violated'"),
+    "method": dict(choices=("auto", "quadrature"), default="auto",
+                   help="force the quadrature path instead of closed forms"),
+    "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "out": dict(default=None, help="output path (default stdout)"),
+}
 
-    command: str
-    dist_specs: tuple[str, ...]
-    measures: tuple[str, ...]
-    claims: tuple[str, ...]
-    transform: str | None
-    t: float | None
-    grid: str | None
-    tol: float | None
-    n: int
-    seed: int
-    fmt: str
-    out: str | None
-    strict: bool
-    method: str
 
-    def __post_init__(self):
-        if self.tol is not None and not self.tol >= 1e-12:
-            raise ds.ValidationError("tolerance override must be >= 1e-12")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become validation errors: exit 2 with the JSON document."""
+
+    def error(self, message):
+        raise ds.ValidationError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="extropy",
         description="Extropy-family information measures for lifetime distributions.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("measure", "compute measures of one distribution"),
-        ("curve", "tabulate a t-indexed measure over a grid"),
-        ("bivariate", "bivariate extropy measures of a joint distribution"),
-        ("transform", "measures under a monotone transform"),
-        ("claims", "run claim checks"),
-        ("mc", "Monte-Carlo estimates against quadrature references"),
-    ]:
-        q = sub.add_parser(name, help=help_)
-        q.add_argument("--dist", action="append", default=[],
-                       help="distribution spec: inline JSON or a path to a JSON file "
-                            "(repeatable where a claim needs two)")
-        q.add_argument("--measure", default=None,
-                       help="comma-separated measure identifiers")
-        q.add_argument("--t", type=float, default=None, help="conditioning time")
-        q.add_argument("--grid", default=None,
-                       help="t-grid: lo:hi:n (linear) or geometric:lo:hi:n")
-        q.add_argument("--claims", default=None, help="comma-separated claim identifiers")
-        q.add_argument("--transform", default=None,
-                       help="transform name: scale:a | affine:a,b | square | exp | pit")
-        q.add_argument("--tol", type=float, default=None, help="tolerance override (>= 1e-12)")
-        q.add_argument("--seed", type=int, default=0, help="RNG seed (mc)")
-        q.add_argument("--n", type=int, default=10**6, help="Monte-Carlo sample count")
-        q.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        q.add_argument("--out", default=None, help="output path (default stdout)")
-        q.add_argument("--strict", action="store_true",
-                       help="exit 4 when any claim verdict is 'violated'")
-        q.add_argument("--method", choices=("auto", "quadrature"), default="auto",
-                       help="force the quadrature path instead of closed forms")
+    for name, (help_, _, options) in _COMMANDS.items():
+        # No prefix matching: "bivariate --t" must not pass as --tol.
+        q = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for opt in (*options, "format", "out"):
+            q.add_argument(f"--{opt}", **_OPTIONS[opt])
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    def split(s):
-        return tuple(x.strip() for x in s.split(",") if x.strip()) if s else ()
+def _ids(text: str | None) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip()) if text else ()
 
-    return RunConfig(
-        command=args.command, dist_specs=tuple(args.dist),
-        measures=split(args.measure), claims=split(args.claims),
-        transform=args.transform, t=args.t, grid=args.grid, tol=args.tol,
-        n=args.n, seed=args.seed, fmt=args.fmt, out=args.out,
-        strict=args.strict, method=args.method)
+
+def _tol(args: argparse.Namespace, default: float) -> float:
+    """The --tol override, or ``default`` when it is absent."""
+    if args.tol is None:
+        return default
+    if not args.tol >= 1e-12:
+        raise ds.ValidationError("tolerance override must be >= 1e-12")
+    return args.tol
 
 
 def _load_spec(text: str) -> dict:
@@ -123,19 +109,19 @@ def _load_spec(text: str) -> dict:
         raise ds.ValidationError(f"invalid JSON in spec file {s!r}: {exc}") from exc
 
 
-def _one_dist(cfg: RunConfig) -> ds.UnivariateDistribution:
-    if len(cfg.dist_specs) != 1:
+def _one_dist(args: argparse.Namespace) -> ds.UnivariateDistribution:
+    if len(args.dist) != 1:
         raise ds.ValidationError(
-            f"command {cfg.command!r} needs exactly one --dist, got {len(cfg.dist_specs)}")
-    return ds.make_distribution(_load_spec(cfg.dist_specs[0]))
+            f"command {args.command!r} needs exactly one --dist, got {len(args.dist)}")
+    return ds.make_distribution(_load_spec(args.dist[0]))
 
 
-def _parse_grid(cfg: RunConfig, dist) -> np.ndarray:
-    if cfg.grid is None:
-        if cfg.t is not None:
-            return np.asarray([cfg.t])
+def _parse_grid(args: argparse.Namespace, dist) -> np.ndarray:
+    if args.grid is None:
+        if args.t is not None:
+            return np.asarray([args.t])
         return ms.default_t_grid(dist)
-    spec = cfg.grid
+    spec = args.grid
     geometric = spec.startswith("geometric:")
     body = spec.split(":", 1)[1] if geometric else spec
     parts = body.split(":")
@@ -146,6 +132,8 @@ def _parse_grid(cfg: RunConfig, dist) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ds.ValidationError(f"grid spec {spec!r} has non-numeric fields") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ds.ValidationError(f"grid spec {spec!r} needs finite lo and hi")
     if not (lo < hi and n >= 2):
         raise ds.ValidationError("grid needs lo < hi and n >= 2")
     if geometric:
@@ -200,35 +188,37 @@ def _mv_row(mv: ms.MeasureValue) -> dict:
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cmd_measure(cfg: RunConfig):
-    dist = _one_dist(cfg)
-    if not cfg.measures:
+def _cmd_measure(args: argparse.Namespace):
+    tol = _tol(args, DEFAULT_TOL)
+    dist = _one_dist(args)
+    measures = _ids(args.measure)
+    if not measures:
         raise ds.ValidationError(
             f"--measure required; valid measures: {', '.join(ms.MEASURE_IDS)}")
-    force = cfg.method == "quadrature"
-    tol = cfg.tol if cfg.tol is not None else ms.ENGINE_TOL
+    force = args.method == "quadrature"
     rows = []
-    for mid in cfg.measures:
-        mv = ms.compute_measure(dist, mid, t=cfg.t, force_quadrature=force, tol=tol)
+    for mid in measures:
+        mv = ms.compute_measure(dist, mid, t=args.t, force_quadrature=force, tol=tol)
         rows.append({"measure": mid, **_mv_row(mv)})
     return {"command": "measure", "dist": dist.label}, rows
 
 
-def _cmd_curve(cfg: RunConfig):
-    dist = _one_dist(cfg)
-    if len(cfg.measures) != 1:
+def _cmd_curve(args: argparse.Namespace):
+    tol = _tol(args, DEFAULT_TOL)
+    dist = _one_dist(args)
+    measures = _ids(args.measure)
+    if len(measures) != 1:
         raise ds.ValidationError(
             "curve needs exactly one --measure; t-indexed measures: "
             + ", ".join(ms.T_INDEXED_MEASURES))
-    mid = cfg.measures[0]
+    mid = measures[0]
     if mid not in ms.T_INDEXED_MEASURES:
         raise ds.ValidationError(
             f"{mid!r} is not t-indexed; t-indexed measures: "
             + ", ".join(ms.T_INDEXED_MEASURES))
-    force = cfg.method == "quadrature"
-    tol = cfg.tol if cfg.tol is not None else ms.ENGINE_TOL
+    force = args.method == "quadrature"
     rows = []
-    for t in _parse_grid(cfg, dist):
+    for t in _parse_grid(args, dist):
         row = {"t": float(t), "value": None, "abs_error": None,
                "method": None, "diverged": None, "error": ""}
         try:
@@ -240,32 +230,32 @@ def _cmd_curve(cfg: RunConfig):
     return {"command": "curve", "dist": dist.label, "measure": mid}, rows
 
 
-def _cmd_bivariate(cfg: RunConfig):
-    if len(cfg.dist_specs) != 1:
+def _cmd_bivariate(args: argparse.Namespace):
+    tol = _tol(args, OUTER_TOL)
+    if len(args.dist) != 1:
         raise ds.ValidationError("bivariate needs exactly one --dist (a bivariate spec)")
-    bd = make_bivariate(_load_spec(cfg.dist_specs[0]))
-    force = cfg.method == "quadrature"
-    tol = cfg.tol if cfg.tol is not None else 1e-7
+    bd = make_bivariate(_load_spec(args.dist[0]))
+    force = args.method == "quadrature"
     rows = []
-    for mid in cfg.measures or BIVARIATE_MEASURE_IDS:
+    for mid in _ids(args.measure) or BIVARIATE_MEASURE_IDS:
         mv = compute_bivariate(bd, mid, force_quadrature=force, tol=tol)
         rows.append({"measure": mid, **_mv_row(mv)})
     return {"command": "bivariate", "dist": bd.label}, rows
 
 
-def _cmd_transform(cfg: RunConfig):
-    dist = _one_dist(cfg)
-    if not cfg.transform:
+def _cmd_transform(args: argparse.Namespace):
+    dist = _one_dist(args)
+    if not args.transform:
         raise ds.ValidationError(
             "--transform required; vocabulary: " + ", ".join(tf.TRANSFORM_VOCABULARY))
-    tr = tf.transform_from_name(cfg.transform, dist)
+    tr = tf.transform_from_name(args.transform, dist)
     rows = []
     xdom = tf.transformed_weighted_extropy(dist, tr)
     rows.append({"quantity": "weighted_extropy_xdomain", **_mv_row(xdom)})
     pushed = tf.pushforward_distribution(dist, tr)
     direct = ms.weighted_extropy(pushed, force_quadrature=True)
     rows.append({"quantity": "weighted_extropy_pushforward", **_mv_row(direct)})
-    if cfg.transform.startswith(("scale:", "affine:")):
+    if args.transform.startswith(("scale:", "affine:")):
         a, b = (tr.phi(np.asarray(1.0)) - tr.phi(np.asarray(0.0)),
                 tr.phi(np.asarray(0.0)))
         j, jw = tf.linear_transform_extropy(dist, float(a), float(b))
@@ -273,67 +263,67 @@ def _cmd_transform(cfg: RunConfig):
         rows.append({"quantity": "weighted_extropy_linear_rule", **_mv_row(jw)})
         direct_j = ms.extropy(pushed, force_quadrature=True)
         rows.append({"quantity": "extropy_pushforward", **_mv_row(direct_j)})
-    if cfg.t is not None:
-        res, past = tf.transformed_residual_past(dist, tr, cfg.t)
+    if args.t is not None:
+        res, past = tf.transformed_residual_past(dist, tr, args.t)
         rows.append({"quantity": "weighted_residual_extropy_xdomain", **_mv_row(res)})
         rows.append({"quantity": "weighted_past_extropy_xdomain", **_mv_row(past)})
     return {"command": "transform", "dist": dist.label, "transform": tr.label}, rows
 
 
-def _cmd_claims(cfg: RunConfig):
-    wanted = cfg.claims or cl.CLAIM_IDS
+def _cmd_claims(args: argparse.Namespace):
+    wanted = _ids(args.claims) or cl.CLAIM_IDS
     unknown = [c for c in wanted if c not in cl.CLAIM_IDS]
     if unknown:
         raise ds.ValidationError(
             f"unknown claims: {', '.join(unknown)}; valid: {', '.join(cl.CLAIM_IDS)}")
-    if not cfg.dist_specs:
+    if not args.dist:
         raise ds.ValidationError("claims needs at least one --dist")
-    dists = [ds.make_distribution(_load_spec(s)) for s in cfg.dist_specs]
+    dists = [ds.make_distribution(_load_spec(s)) for s in args.dist]
     rows = []
     for claim in wanted:
         if cl.CLAIMS[claim].pair and len(dists) != 2:
             raise ds.ValidationError(
                 f"claim {claim!r} needs exactly two --dist (X then Y)")
-        rows += cl.claim_rows(claim, dists, lambda dist: _parse_grid(cfg, dist))
+        rows += cl.claim_rows(claim, dists, lambda dist: _parse_grid(args, dist))
     summary = {"holds": sum(r["verdict"] == "holds" for r in rows),
                "violated": sum(r["verdict"] == VIOLATED for r in rows),
                "indeterminate": sum(r["verdict"] == "indeterminate" for r in rows)}
     return {"command": "claims", "summary": summary}, rows
 
 
-def _cmd_mc(cfg: RunConfig):
-    if len(cfg.dist_specs) != 1:
+def _cmd_mc(args: argparse.Namespace):
+    if len(args.dist) != 1:
         raise ds.ValidationError("mc needs exactly one --dist")
-    spec = _load_spec(cfg.dist_specs[0])
-    if cfg.n < 2:
+    spec = _load_spec(args.dist[0])
+    if args.n < 2:
         raise ds.ValidationError("mc needs --n >= 2")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     if isinstance(spec, dict) and spec.get("family") in ("bivariate_beta", "product"):
         bd = make_bivariate(spec)
-        xs, ys = bd.sampler(rng, cfg.n)
+        xs, ys = bd.sampler(rng, args.n)
         fvals = bd.pdf_pairs(xs, ys)
-        for mid in cfg.measures or BIVARIATE_MEASURE_IDS:
+        for mid in _ids(args.measure) or BIVARIATE_MEASURE_IDS:
             ref = compute_bivariate(bd, mid, force_quadrature=True)
             samples = 0.25 * fvals if mid == "bivariate_extropy" else 0.25 * xs * ys * fvals
             rows.append(_mc_row(mid, samples, ref))
         label = bd.label
     else:
         dist = ds.make_distribution(spec)
-        wanted = cfg.measures or ("extropy", "weighted_extropy")
+        wanted = _ids(args.measure) or ("extropy", "weighted_extropy")
         bad = [m for m in wanted if m not in ("extropy", "weighted_extropy")]
         if bad:
             raise ds.ValidationError(
                 "mc estimators exist for extropy and weighted_extropy "
                 f"(got {', '.join(bad)})")
-        xs = dist.sample(rng, cfg.n)
+        xs = dist.sample(rng, args.n)
         fvals = dist.pdf(xs)
         for mid in wanted:
             samples = -0.5 * fvals if mid == "extropy" else -0.5 * xs * fvals
             ref = ms.compute_measure(dist, mid, force_quadrature=True)
             rows.append(_mc_row(mid, samples, ref))
         label = dist.label
-    return {"command": "mc", "dist": label, "n": cfg.n, "seed": cfg.seed}, rows
+    return {"command": "mc", "dist": label, "n": args.n, "seed": args.seed}, rows
 
 
 def _mc_row(mid: str, samples: np.ndarray, ref: ms.MeasureValue) -> dict:
@@ -352,13 +342,20 @@ def _mc_row(mid: str, samples: np.ndarray, ref: ms.MeasureValue) -> dict:
             "std_error": se, "z": z, "note": ""}
 
 
+# name -> (help, handler, the options its handler reads besides format and out)
 _COMMANDS = {
-    "measure": _cmd_measure,
-    "curve": _cmd_curve,
-    "bivariate": _cmd_bivariate,
-    "transform": _cmd_transform,
-    "claims": _cmd_claims,
-    "mc": _cmd_mc,
+    "measure": ("compute measures of one distribution", _cmd_measure,
+                ("dist", "measure", "t", "tol", "method")),
+    "curve": ("tabulate a t-indexed measure over a grid", _cmd_curve,
+              ("dist", "measure", "t", "grid", "tol", "method")),
+    "bivariate": ("bivariate extropy measures of a joint distribution", _cmd_bivariate,
+                  ("dist", "measure", "tol", "method")),
+    "transform": ("measures under a monotone transform", _cmd_transform,
+                  ("dist", "transform", "t")),
+    "claims": ("run claim checks", _cmd_claims,
+               ("dist", "claims", "t", "grid", "strict")),
+    "mc": ("Monte-Carlo estimates against quadrature references", _cmd_mc,
+           ("dist", "measure", "seed", "n")),
 }
 
 
@@ -368,11 +365,18 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        meta, rows = _COMMANDS[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        meta, rows = _COMMANDS[args.command][1](args)
+        text = _render_json(meta, rows) if args.fmt == "json" else _render_csv(rows)
+        if not args.out:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ds.ValidationError(f"cannot write --out {args.out!r}: {exc}") from exc
     except (ds.ValidationError, ms.DomainError) as exc:
         _emit_error("validation", exc)
         return 2
@@ -380,14 +384,7 @@ def main(argv=None) -> int:
             cl.InversionError, cl.ResolutionError) as exc:
         _emit_error("numerical", exc)
         return 3
-
-    text = _render_json(meta, rows) if cfg.fmt == "json" else _render_csv(rows)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if cfg.strict and cfg.command == "claims":
+    if args.command == "claims" and args.strict:
         if any(r.get("verdict") == VIOLATED for r in rows):
             return 4
     return 0

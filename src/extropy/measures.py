@@ -36,14 +36,12 @@ from .distributions import (
     ValidationError,
     closed_form,
 )
-from .quadrature import Integrand, differentiate, integrate
+from .quadrature import DEFAULT_TOL, Integrand, differentiate, integrate
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
     "MEASURE_IDS",
     "T_INDEXED_MEASURES",
-    "MEASURE_TOL",
-    "ENGINE_TOL",
     "BOUNDARY_EPS",
     "DomainError",
     "ConditionalLifetime",
@@ -62,11 +60,6 @@ __all__ = [
     "decomposition_check",
     "default_t_grid",
 ]
-
-# Engine tolerance leaves two digits of slack under the 1e-8 accuracy the
-# measure layer promises.
-MEASURE_TOL = 1e-8
-ENGINE_TOL = 1e-10
 
 # Conditioning normalizers below this amplify quadrature noise beyond any
 # honest error bound; refuse instead of returning huge values.
@@ -171,7 +164,7 @@ def _sf_squared_integrand(dist: UnivariateDistribution, lo: float,
 
 
 def _scaled_integral(g: Integrand, norm: float,
-                     tol: float = ENGINE_TOL) -> MeasureValue:
+                     tol: float = DEFAULT_TOL) -> MeasureValue:
     """-(1/(2*norm^2)) times the integral of ``g``; infinite, of the
     opposite sign to the integral, when it diverges."""
     r = integrate(g, tol=tol)
@@ -223,47 +216,47 @@ def _measure(measure_id: str, dist, t: float | None, force_quadrature: bool,
 
 
 def extropy(dist: UnivariateDistribution, *, force_quadrature: bool = False,
-            tol: float = ENGINE_TOL) -> MeasureValue:
+            tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("extropy", dist, None, force_quadrature, tol)
 
 
 def weighted_extropy(dist: UnivariateDistribution, *,
                      force_quadrature: bool = False,
-                     tol: float = ENGINE_TOL) -> MeasureValue:
+                     tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("weighted_extropy", dist, None, force_quadrature, tol)
 
 
 def residual_extropy(dist, t: float, *, force_quadrature: bool = False,
-                     tol: float = ENGINE_TOL) -> MeasureValue:
+                     tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("residual_extropy", dist, t, force_quadrature, tol)
 
 
 def past_extropy(dist, t: float, *, force_quadrature: bool = False,
-                 tol: float = ENGINE_TOL) -> MeasureValue:
+                 tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("past_extropy", dist, t, force_quadrature, tol)
 
 
 def weighted_residual_extropy(dist, t: float, *,
                               force_quadrature: bool = False,
-                              tol: float = ENGINE_TOL) -> MeasureValue:
+                              tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("weighted_residual_extropy", dist, t, force_quadrature, tol)
 
 
 def weighted_past_extropy(dist, t: float, *,
                           force_quadrature: bool = False,
-                          tol: float = ENGINE_TOL) -> MeasureValue:
+                          tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("weighted_past_extropy", dist, t, force_quadrature, tol)
 
 
 def dynamic_survival_extropy(dist, t: float, *,
                              force_quadrature: bool = False,
-                             tol: float = ENGINE_TOL) -> MeasureValue:
+                             tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("dynamic_survival_extropy", dist, t, force_quadrature, tol)
 
 
 def compute_measure(dist, measure_id: str, t: float | None = None, *,
                     force_quadrature: bool = False,
-                    tol: float = ENGINE_TOL) -> MeasureValue:
+                    tol: float = DEFAULT_TOL) -> MeasureValue:
     """Dispatch a measure by identifier; t-indexed measures require t."""
     if measure_id not in _MEASURES:
         raise ValidationError(

@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
+# Two digits of slack under the 1e-8 accuracy the measure layer promises.
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 10**6
 

@@ -9,6 +9,7 @@ from extropy.bivariate import (
     bivariate_mass,
     bivariate_weighted_extropy,
     independence_factorization_check,
+    iterated_integral,
     make_bivariate,
     product_distribution,
     rectangle_distribution,
@@ -21,6 +22,8 @@ from extropy.distributions import (
     pareto,
     uniform,
 )
+
+from extropy.quadrature import Integrand
 
 BB_CASES = [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.75, 0.75, 0.75),
             (0.75, 1.0, 2.0), (2.0, 0.75, 1.0), (1.0, 2.0, 0.75)]
@@ -154,3 +157,15 @@ class TestSpecDocuments:
     def test_validation(self, spec, fragment):
         with pytest.raises(ValidationError, match=fragment):
             make_bivariate(spec)
+
+
+class TestIteratedIntegral:
+    def test_combine_and_empty_inner_ranges(self):
+        # I(y) = int_0^y dx = y on (0, 1) and empty on (-1, 0]:
+        # int y I(y)^2 dy = 1/4.
+        def inner_at(y):
+            return Integrand(np.ones_like, 0.0, y) if y > 0 else None
+
+        r = iterated_integral(inner_at, -1.0, 1.0, combine=lambda y, v: y * v**2)
+        assert r.value == pytest.approx(0.25, abs=1e-9)
+        assert not r.diverged

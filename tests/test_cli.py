@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import re
+from contextlib import redirect_stdout
 
 import pytest
 
 from conftest import run_cli
+from extropy import cli
 
 EXP1 = '{"family":"exponential","params":{"rate":1}}'
 U13 = '{"family":"uniform","params":{"a":1,"b":3}}'
@@ -125,6 +128,21 @@ class TestCurveCommand:
         assert code == 2
         assert "not t-indexed" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("args", [
+        ("curve", "--dist", EXP1, "--measure", "residual_extropy", "--grid", "0:inf:3"),
+        ("curve", "--dist", EXP1, "--measure", "residual_extropy",
+         "--grid", "geometric:1:inf:3"),
+        ("claims", "--dist", EXP1, "--claims", "decomposition", "--grid", "1:inf:2"),
+        ("claims", "--dist", EXP1, "--claims", "decomposition", "--grid=-inf:1:2"),
+    ], ids=["curve-linear", "curve-geometric", "claims-upper", "claims-lower"])
+    def test_non_finite_grid_rejected(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "validation"
+        assert args[-1].removeprefix("--grid=") in doc["message"]
+        assert "finite" in doc["message"]
+
 
 class TestBivariateCommand:
     def test_closed_and_quadrature(self):
@@ -235,6 +253,16 @@ class TestClaimsCommand:
         assert code == 2
         assert "valid" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("spec", [EXP1, PARETO21], ids=["exponential", "pareto"])
+    def test_past_bound_at_huge_t(self, spec):
+        # t**2 overflows a float; the re-derived bound -(t q)^2/4 does not.
+        code, out, err = run_cli("claims", "--dist", spec,
+                                 "--claims", "past_bound", "--t", "1e300")
+        assert code == 0, err
+        row = rows_of(out)[0]
+        assert row["t"] == 1e300
+        assert row["extras"]["rederived_bound"] == 0.0
+
 
 class TestMonteCarloCommand:
     def test_estimates_within_four_sigma(self):
@@ -311,6 +339,29 @@ class TestOutputContract:
         doc = json.loads(path.read_text())
         assert doc["rows"][0]["value"] == pytest.approx(-0.25, abs=1e-10)
 
+    def test_unwritable_out_is_validation_error(self, tmp_path):
+        path = tmp_path / "missing" / "table.json"
+        code, out, err = run_cli("measure", "--dist", EXP1, "--measure", "extropy",
+                                 "--out", str(path))
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "validation"
+        assert str(path) in doc["message"]
+
+    @pytest.mark.parametrize("args", [
+        ("measure", "--dist", EXP1, "--measure", "extropy", "--format", "xml"),
+        ("measure", "--dist", EXP1, "--measure", "extropy", "--t", "abc"),
+        ("mc", "--dist", EXP1, "--n", "many"),
+        ("frobnicate",),
+        (),
+    ], ids=["bad-choice", "bad-float", "bad-int", "unknown-command", "no-command"])
+    def test_usage_error_is_validation_error(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "validation"
+        assert doc["message"].startswith("extropy")
+
     def test_identical_invocations_byte_identical(self):
         args = ("claims", "--dist", EXP1, "--claims",
                 "residual_bound,decomposition", "--grid", "0.5:2:3")
@@ -348,3 +399,40 @@ class TestOutputContract:
         assert code == 2
         doc = json.loads(err)
         assert set(doc["error"]) == {"type", "class", "message"}
+
+
+# The options each subcommand reads, besides --format and --out.
+READS = {
+    "measure": {"dist", "measure", "t", "tol", "method"},
+    "curve": {"dist", "measure", "t", "grid", "tol", "method"},
+    "bivariate": {"dist", "measure", "tol", "method"},
+    "transform": {"dist", "transform", "t"},
+    "claims": {"dist", "claims", "t", "grid", "strict"},
+    "mc": {"dist", "measure", "seed", "n"},
+}
+# A well-formed value for every option any subcommand takes (None: a flag).
+VALUES = {"dist": EXP1, "measure": "extropy", "t": "1", "grid": "0:1:2",
+          "claims": "decomposition", "transform": "scale:2", "tol": "1e-6",
+          "seed": "1", "n": "10", "strict": None, "method": "quadrature"}
+UNREAD = [(cmd, opt) for cmd, reads in READS.items()
+          for opt in VALUES if opt not in reads]
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("cmd,opt", UNREAD, ids=[f"{c}--{o}" for c, o in UNREAD])
+    def test_unread_option_rejected(self, cmd, opt):
+        flag = [f"--{opt}"] + ([] if VALUES[opt] is None else [VALUES[opt]])
+        code, out, err = run_cli(cmd, "--dist", EXP1, *flag)
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "validation"
+        assert f"unrecognized arguments: --{opt}" in doc["message"]
+
+    @pytest.mark.parametrize("cmd", sorted(READS))
+    def test_help_lists_only_read_options(self, cmd):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out):
+            cli.main([cmd, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^  --(\w+)", out.getvalue(), re.MULTILINE))
+        assert listed == READS[cmd] | {"format", "out"}
