@@ -11,7 +11,8 @@ two univariate supports, the triangle 0 < x < y < 1 of the bivariate beta
 family, or a caller-supplied rectangle.  Evaluation is iterated adaptive
 quadrature, inner in x at fixed y, with analytic endpoint exponents
 supplied per family; :func:`iterated_integral` is the one nested path (the
-sum bound's convolution uses it too).  :func:`compute_bivariate`
+sum bound's convolution uses it too), and integrates the inner integrals of
+all the outer nodes of a call as one batch.  :func:`compute_bivariate`
 dispatches the two measures by identifier (``BIVARIATE_MEASURE_IDS``);
 both use the family's closed form unless ``force_quadrature`` is set.  If
 X and Y are independent, J(X,Y) = J(X) J(Y) and Jw(X,Y) = Jw(X) Jw(Y);
@@ -22,7 +23,7 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -35,7 +36,7 @@ from .distributions import (
     make_distribution,
 )
 from .measures import MeasureValue, extropy, weighted_extropy
-from .quadrature import Integrand, QuadratureResult, integrate
+from .quadrature import Integrand, QuadratureResult, integrate, integrate_batch
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
@@ -68,8 +69,10 @@ _KINDS = {"density": (1, 0), "f2": (2, 0), "xyf2": (2, 1)}
 class BivariateDistribution:
     """Joint density with the metadata the iterated integrator needs.
 
-    ``pdf_pairs(x, y)`` broadcasts x against y; the inner integral passes
-    a scalar y.  ``inner_hints`` and ``outer_hints`` give the analytic
+    ``pdf_pairs(x, y)`` broadcasts x against y; the inner integrals pass a
+    (k, n) array of x and the (k, 1) outer node of each row.
+    ``x_range(y)`` gives the inner bounds for an array of outer nodes, as
+    arrays or scalars.  ``inner_hints`` and ``outer_hints`` give the analytic
     endpoint exponents of the inner integrand (in x, at fixed y) and of
     the reduced outer integrand (in y) for each integrand kind; None
     entries mean no power behaviour.  They are raw exponents: the engine
@@ -79,7 +82,7 @@ class BivariateDistribution:
     kind: str
     params: Mapping[str, object]
     y_range: tuple[float, float]
-    x_range: Callable[[float], tuple[float, float]]
+    x_range: Callable[[np.ndarray], tuple]
     pdf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inner_hints: Callable[[str], tuple[float | None, float | None]]
     outer_hints: Callable[[str], tuple[float | None, float | None]]
@@ -195,50 +198,55 @@ def make_bivariate(spec: Mapping) -> BivariateDistribution:
 
 # -- iterated quadrature -----------------------------------------------------
 
-def iterated_integral(inner_at, lower: float, upper: float, *, exponents=(None, None),
+def iterated_integral(inner, x_range, lower: float, upper: float, *,
+                      inner_exponents=(None, None), exponents=(None, None),
                       combine=None, tol: float = OUTER_TOL) -> QuadratureResult:
-    """Integral over y in (lower, upper) of combine(y, I(y)), where I(y)
-    integrates the Integrand ``inner_at(y)`` (None: an empty range, I = 0).
+    """Integral over y in (lower, upper) of combine(y, I(y)), where I(y) is
+    the integral of ``inner(x, y)`` over x in ``x_range(y)``.
 
-    ``combine`` defaults to I(y) itself; ``exponents`` are the outer endpoint
-    hints.  The outer integral runs at ``tol``, each inner one at
-    max(1e-12, 1e-2 tol).
+    Both callables broadcast.  The outer integral runs at ``tol`` with the
+    end hints ``exponents``.  Each call of its integrand receives an array
+    of outer nodes y; ``x_range(y)`` returns their inner bounds (arrays or
+    scalars; ``not lo < hi`` is an empty range, I = 0), and every I(y) of
+    the call is one :func:`integrate_batch` at max(1e-12, 1e-2 tol) with
+    the end hints ``inner_exponents``, whose evaluator calls
+    ``inner(x, y)`` with x a (k, n) array and y the (k, 1) node of each
+    row.  ``combine`` defaults to I(y) itself and receives arrays.  The
+    result's ``evaluations`` counts the outer and every inner evaluation.
     """
     tol_inner = max(1e-12, 1e-2 * tol)
-
-    def outer_scalar(y: float) -> float:
-        g = inner_at(y)
-        v = 0.0 if g is None else integrate(g, tol=tol_inner).value
-        return v if combine is None else combine(y, v)
+    inner_evaluations = 0
 
     def outer_fn(ys):
-        return np.array([outer_scalar(float(y)) for y in np.atleast_1d(ys)])
+        nonlocal inner_evaluations
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), ys.shape)
+                  for v in x_range(ys))
+        results = integrate_batch(lambda x, rows: inner(x, ys[rows, None]), lo, hi,
+                                  tol=tol_inner, exponent_lower=inner_exponents[0],
+                                  exponent_upper=inner_exponents[1])
+        inner_evaluations += sum(r.evaluations for r in results)
+        v = np.array([r.value for r in results])
+        return v if combine is None else combine(ys, v)
 
-    return integrate(Integrand(outer_fn, lower, upper, exponent_lower=exponents[0],
-                               exponent_upper=exponents[1]), tol=tol)
+    r = integrate(Integrand(outer_fn, lower, upper, exponent_lower=exponents[0],
+                            exponent_upper=exponents[1]), tol=tol)
+    return replace(r, evaluations=r.evaluations + inner_evaluations)
 
 
 def _iterated(bd: BivariateDistribution, kind: str,
               tol: float = OUTER_TOL) -> QuadratureResult:
     p, w = _KINDS[kind]
-    in_lo, in_hi = bd.inner_hints(kind)
 
-    def inner_at(y: float) -> Integrand | None:
-        lo, hi = bd.x_range(y)
-        if not lo < hi:
-            return None
+    def inner(x, y):
+        f = bd.pdf_pairs(x, y)
+        v = f**p if p > 1 else f
+        if w:
+            v = v * x * y
+        return v
 
-        def fn(x):
-            f = bd.pdf_pairs(x, y)
-            v = f**p if p > 1 else f
-            if w:
-                v = v * x * y
-            return v
-
-        return Integrand(fn, lo, hi, exponent_lower=in_lo, exponent_upper=in_hi)
-
-    return iterated_integral(inner_at, *bd.y_range, exponents=bd.outer_hints(kind),
-                             tol=tol)
+    return iterated_integral(inner, bd.x_range, *bd.y_range,
+                             inner_exponents=bd.inner_hints(kind),
+                             exponents=bd.outer_hints(kind), tol=tol)
 
 
 def bivariate_mass(bd: BivariateDistribution) -> float:

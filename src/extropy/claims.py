@@ -35,7 +35,6 @@ from .measures import (
     weighted_residual_extropy,
     extropy,
 )
-from .quadrature import Integrand
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
@@ -171,12 +170,9 @@ def sum_bound_check(x_dist: UnivariateDistribution, y_dist: UnivariateDistributi
     xlo, xhi = x_dist.support
     ylo, yhi = y_dist.support
 
-    def density_at(z: float) -> Integrand | None:
-        lo, hi = max(xlo, z - yhi), min(xhi, z - ylo)
-        return Integrand(lambda x: fx(x) * fy(z - x), lo, hi) if lo < hi else None
-
-    r = iterated_integral(density_at, xlo + ylo, xhi + yhi,
-                          combine=lambda z, f_z: z * f_z**2)
+    r = iterated_integral(lambda x, z: fx(x) * fy(z - x),
+                          lambda z: (np.maximum(xlo, z - yhi), np.minimum(xhi, z - ylo)),
+                          xlo + ylo, xhi + yhi, combine=lambda z, f_z: z * f_z**2)
     lhs = -0.5 * r.value
     gap = lhs - rhs
     verdict = HOLDS if lhs >= rhs - tol else VIOLATED

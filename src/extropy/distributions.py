@@ -69,9 +69,10 @@ class UnivariateDistribution:
     edges (an exponent at an infinite edge describes the tail; None means
     the tail decays faster than any power).  It is the single source of
     edge behaviour: :meth:`edge_exponents` derives the powers of every
-    integrand built from f.  ``closed_forms`` maps measure identifiers to
-    analytic values: a float, -inf for a divergent measure, or a callable
-    of t for time-indexed measures.
+    integrand built from f.  ``breakpoints`` are the interior points of the
+    support where f jumps or kinks.  ``closed_forms`` maps measure
+    identifiers to analytic values: a float, -inf for a divergent measure,
+    or a callable of t for time-indexed measures.
     """
 
     family: str
@@ -82,6 +83,7 @@ class UnivariateDistribution:
     sf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
     pdf_edge_exponents: tuple[float | None, float | None] = (None, None)
+    breakpoints: tuple[float, ...] = ()
     closed_forms: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -176,7 +178,8 @@ def exponential(rate: float) -> UnivariateDistribution:
 
     def quantile(p):
         p = np.asarray(p, dtype=float)
-        return -np.log1p(-p) / lam
+        with np.errstate(divide="ignore"):  # p = 1 is the infinite upper edge
+            return -np.log1p(-p) / lam
 
     return UnivariateDistribution(
         family="exponential", params={"rate": lam}, support=(0.0, math.inf),
@@ -334,7 +337,7 @@ def piecewise(weights) -> UnivariateDistribution:
         family="piecewise", params={"weights": tuple(float(v) for v in c)},
         support=(0.0, float(n)),
         pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
-        pdf_edge_exponents=(0.0, 0.0),
+        pdf_edge_exponents=(0.0, 0.0), breakpoints=tuple(map(float, range(1, n))),
         closed_forms={
             "extropy": -0.5 * float(np.sum(c**2)),
             "weighted_extropy": -0.25 * float(np.sum(c**2 * (2 * ks - 1))),
@@ -413,7 +416,7 @@ def tabulated(grid) -> UnivariateDistribution:
         family="tabulated", params={"n_knots": int(x.size)},
         support=(float(x[0]), float(x[-1])),
         pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
-        pdf_edge_exponents=(0.0, 0.0))
+        pdf_edge_exponents=(0.0, 0.0), breakpoints=tuple(x[1:-1].tolist()))
 
 
 _FAMILY_PARAMS = {

@@ -139,7 +139,8 @@ class DerivativeComparison:
 
 def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
                          x_weight: bool) -> Integrand:
-    """Integrand x^w f(x)^2 on (lo, hi), hinted at the support edges it reaches."""
+    """Integrand x^w f(x)^2 on (lo, hi), hinted at the support edges it
+    reaches and cut at the density's breakpoints."""
     pdf = dist.pdf
     if x_weight:
         def fn(x):
@@ -151,7 +152,8 @@ def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
     e_lo, e_hi = dist.edge_exponents(2, x_weight)
     sup_lo, sup_hi = dist.support
     return Integrand(fn, lo, hi, exponent_lower=e_lo if lo == sup_lo else None,
-                     exponent_upper=e_hi if hi == sup_hi else None)
+                     exponent_upper=e_hi if hi == sup_hi else None,
+                     breakpoints=dist.breakpoints)
 
 
 def _sf_squared_integrand(dist: UnivariateDistribution, lo: float,
@@ -160,7 +162,8 @@ def _sf_squared_integrand(dist: UnivariateDistribution, lo: float,
     sf ~ x^(p+1), hinted at an infinite upper limit."""
     sf, p = dist.sf, dist.pdf_edge_exponents[1]
     tail = 2.0 * (p + 1.0) if math.isinf(hi) and p is not None else None
-    return Integrand(lambda x: sf(x) ** 2, lo, hi, exponent_upper=tail)
+    return Integrand(lambda x: sf(x) ** 2, lo, hi, exponent_upper=tail,
+                     breakpoints=dist.breakpoints)
 
 
 def _scaled_integral(g: Integrand, norm: float,

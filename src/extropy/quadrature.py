@@ -1,26 +1,45 @@
 """Adaptive numerical integration and differentiation.
 
-Every measure in this library funnels through :func:`integrate`, which has
-to cope with the three awkward integrand classes that lifetime densities
-produce:
+Every measure in this library funnels through one engine,
+:func:`integrate_batch`: a batch of M integrands that share one
+broadcasting evaluator, each with its own interval, endpoint hints and
+tolerance.  :func:`integrate` is its batch of one.  The engine copes with
+the three awkward integrand classes that lifetime densities produce:
 
 * unbounded limits, removed by the substitution x = a + u/(1-u) that maps
   (a, inf) onto (0, 1);
 * integrable endpoint singularities (local power behaviour x**p with
-  p > -1), handled by geometric panel subdivision toward the endpoint plus
-  a geometric-series estimate of the unresolved remainder;
+  p > -1), handled by a ladder of geometrically shrinking panels toward
+  the endpoint plus a geometric-series estimate of the unresolved
+  remainder;
 * non-integrable endpoints, classified before any panel work by an
   analytic exponent hint or a local power-law fit (:func:`detect_divergence`)
   and reported as a diverged result rather than an error.
 
-The panel rule is the 15-point Kronrod extension of 7-point Gauss.
-Integrand evaluators must be vectorized: they receive a float ndarray and
-return an ndarray of the same shape.
+The panel rule is the 15-point Kronrod extension of 7-point Gauss.  Work
+goes in rounds, and each round is one evaluator call over a (k, 15) array
+of panels from every member still running, as in scipy's ``quad_vec``
+(compare Gander & Gautschi, BIT 40 (2000)).  The first round holds every
+member's initial partition, cut at its breakpoints (points where the
+integrand may jump, as in QUADPACK's ``qagp``), and the first six rungs of
+each singular ladder; each later round holds the next six rungs of every
+unfinished ladder and the pieces of every panel split.  A member whose
+ladders are done and whose error exceeds its tolerance splits every panel
+whose error exceeds half its per-panel share of the tolerance that no
+split can touch: in two, or in four where the panel's last split barely
+reduced its error (a jump or a kink that bisection only localises), which
+saves a round.  Every decision stays per member: classification,
+divergence, the noise floor, the tolerance, the evaluation budget and the
+error raised.  A cap on the points per evaluator call bounds memory
+however large a batch is.
+
+An :class:`Integrand`'s evaluator receives a 1-d float ndarray and returns
+an ndarray of the same shape; a batch evaluator receives the (k, n) array
+of points and the member of each row (see :func:`integrate_batch`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +55,7 @@ __all__ = [
     "DivergenceUndecidedError",
     "EvaluationError",
     "integrate",
+    "integrate_batch",
     "integrate_fn",
     "detect_divergence",
     "differentiate",
@@ -131,6 +151,9 @@ class Integrand:
     matters for integrands sitting exactly on the logarithmic boundary
     p = -1.  ``singular_lower``/``singular_upper`` declare a singular
     endpoint without a hint, leaving its classification to that fit.
+    ``breakpoints`` are points where ``fn`` may jump or kink: those inside
+    the interval cut the initial partition, so that no panel straddles
+    them (outside a singular end's ladder span).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -140,14 +163,11 @@ class Integrand:
     singular_upper: bool = False
     exponent_lower: float | None = None
     exponent_upper: float | None = None
+    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"integrand needs lower < upper, got [{self.lower}, {self.upper}]")
-        if self.exponent_lower is not None and self.exponent_lower < 0.0:
-            object.__setattr__(self, "singular_lower", True)
-        if self.exponent_upper is not None and self.exponent_upper < 0.0:
-            object.__setattr__(self, "singular_upper", True)
 
 
 @dataclass(frozen=True)
@@ -165,85 +185,218 @@ class DerivativeResult:
     evaluations: int
 
 
-class _Budget:
-    __slots__ = ("used", "limit")
+# ---------------------------------------------------------------------------
+# engine constants
+# ---------------------------------------------------------------------------
 
-    def __init__(self, limit: int):
-        self.used = 0
-        self.limit = limit
+CONVERGENT = "convergent"
+DIVERGENT = "divergent"
+INCONCLUSIVE = "inconclusive"
+# Endpoint status codes index this tuple; -1 marks a regular endpoint.
+_STATUS = (CONVERGENT, DIVERGENT, INCONCLUSIVE)
+_SIDES = ("lower", "upper")
 
-    def spend(self, n: int) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise EvaluationBudgetError(
-                f"evaluation budget of {self.limit} points exhausted"
-            )
+# The Kronrod and the embedded Gauss weights as the columns of one matrix.
+_W = np.zeros((15, 2))
+_W[:, 0] = _WK
+_W[_GAUSS_IDX, 1] = _WG
+
+# Points per evaluator call: a larger round is sent in chunks, which bounds
+# the evaluator's temporaries however many members a batch holds.
+_MAX_POINTS = 1 << 14
+# A member splits every panel whose error exceeds this share of its free
+# tolerance (its tolerance minus the error that no split can reduce) per
+# active panel.
+_SPLIT_SHARE = 0.5
+_LADDER_MAX = 40
+# Rungs per ladder and round.  The ladder first consults its tail model at
+# the sixth, so the first round takes six.
+_RUNGS = 6
+# Column offsets of a ladder's last four values (after its four leading
+# zeros).
+_LAST4 = np.arange(4)
+_BLOCK = np.arange(_RUNGS)
+_EDGES = np.arange(_RUNGS + 1)
+# 2**-j: the distance of the far end of rung j from its endpoint, in units
+# of the ladder's span.
+_POW2 = 2.0 ** -np.arange(_LADDER_MAX + _RUNGS + 1)
+_EPS = np.finfo(float).eps
+# Distances to an endpoint, in units of a quarter of the way to the
+# midpoint, at which the power-law fit and the sign of a divergent end are
+# probed.
+_FIT = np.logspace(0.0, -3.0, 16)
+_PROBE = np.logspace(-1.0, -3.0, 5)
+
+# Initial partitions as fractions of the interval.  A single wide panel can
+# look falsely converged when the mass sits near one end, so wide intervals
+# start from a graded mesh; the quarters are padded with empty panels.
+_GRADED = np.array([0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0])
+_QUARTERS = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0])
+_PARTITIONS = np.array([_QUARTERS, _GRADED])
+_NO_PANELS = np.zeros((6, 0))
 
 
-def _eval(fn, x: np.ndarray, budget: _Budget) -> np.ndarray:
-    budget.spend(x.size)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        y = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)]
-        raise EvaluationError(f"integrand non-finite at interior point x={bad.flat[0]!r}")
-    return y
+# ---------------------------------------------------------------------------
+# members and their evaluations
+# ---------------------------------------------------------------------------
 
 
-def _panel(fn, a: float, b: float, budget: _Budget) -> tuple[float, float]:
-    """Gauss-Kronrod 15/7 estimate and error for one panel."""
+class _Batch:
+    """The members of one engine run, on the finite intervals it works on.
+
+    A lower-infinite member is reflected (x -> -y) onto an upper-infinite
+    one, whose end hints swap sides; an upper-infinite member is mapped onto
+    (0, 1) by x = a + u/(1-u), where a tail power p becomes the power
+    -(2 + p) at u = 1.  An infinite endpoint is always singular, and so is
+    an endpoint with a negative hint.  Members with ``not lower < upper``
+    are empty: they integrate to 0 without an evaluation.  ``cuts`` holds
+    each member's breakpoints inside its interval, mapped with it (NaN
+    pads).
+
+    Every member has its own evaluation budget.  A member that fails stops
+    every member after it, and the batch raises the error of its first
+    failing member, as a loop over the members would.
+    """
+
+    def __init__(self, fn, lower, upper, budget, exponent_lower, exponent_upper,
+                 singular_lower, singular_upper, breakpoints=()):
+        size = lower.size
+        self.fn, self.size, self.budget = fn, size, budget
+        self.empty = ~(lower < upper)
+        cuts = np.array(breakpoints, dtype=float, ndmin=2)
+        cuts = np.broadcast_to(cuts, (size, cuts.shape[1]))
+        cuts = np.where((lower[:, None] < cuts) & (cuts < upper[:, None]), cuts, np.nan)
+        exponent = np.empty((size, 2))
+        exponent[:, 0] = exponent_lower  # None -> NaN
+        exponent[:, 1] = exponent_upper
+        singular = np.empty((size, 2), dtype=bool)
+        singular[:, 0] = singular_lower
+        singular[:, 1] = singular_upper
+        self.transformed = np.count_nonzero(np.isfinite(lower + upper)) < size
+        if self.transformed:
+            if np.count_nonzero(np.isnan(lower) | np.isnan(upper)):
+                raise ValueError("integration bounds must not be NaN")
+            if np.count_nonzero(self.empty):
+                lower = np.where(self.empty, 0.0, lower)
+                upper = np.where(self.empty, 0.0, upper)
+            reflect = np.isneginf(lower)
+            self.reflected = np.count_nonzero(reflect) > 0
+            if self.reflected:
+                lower, upper = np.where(reflect, -upper, lower), np.where(reflect, -lower, upper)
+                if np.count_nonzero(np.isinf(lower)):
+                    raise ValueError(
+                        "doubly-infinite integrands must be split at a finite point")
+                exponent = np.where(reflect[:, None], exponent[:, ::-1], exponent)
+                singular = np.where(reflect[:, None], singular[:, ::-1], singular)
+                cuts = np.where(reflect[:, None], -cuts, cuts)
+            mapped = np.isposinf(upper)
+            x = cuts - lower[:, None]
+            cuts = np.where(mapped[:, None], x / (1.0 + x), cuts)
+            exponent[:, 1] = np.where(mapped, -(2.0 + exponent[:, 1]), exponent[:, 1])
+            singular[:, 1] |= mapped
+            self.reflect, self.mapped, self.origin = reflect, mapped, lower
+            lower, upper = np.where(mapped, 0.0, lower), np.where(mapped, 1.0, upper)
+        self.lower, self.upper, self.cuts = lower, upper, cuts
+        # Per member and side (lower, upper); NaN is no hint.
+        self.exponent = exponent
+        singular |= exponent < 0.0
+        if np.count_nonzero(self.empty):
+            singular &= ~self.empty[:, None]
+        self.singular = singular
+        self.used = np.zeros(size, dtype=np.int64)
+        self.first_failure = size
+        self.error: QuadratureError | None = None
+
+    def fail(self, member, error: QuadratureError) -> None:
+        if member < self.first_failure:
+            self.first_failure, self.error = int(member), error
+
+    def probe(self, members, sides, distances):
+        """Values at ``distances`` from the ``sides`` ends of ``members``, in
+        units of a quarter of the way to the midpoint; and the distances."""
+        lo, hi = self.lower[members], self.upper[members]
+        end = np.where(sides == 0, lo, hi)
+        d = (0.125 * (hi - lo))[:, None] * distances
+        return self.values(end[:, None] + np.where(sides[:, None] == 0, d, -d), members), d
+
+    def values(self, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Evaluator values at points ``u`` (k, n) of the members ``rows``.
+
+        Each member is charged for its points first.  The rows of members at
+        and after a failure are evaluated with the rest of the call, and
+        dropped with their members after it.
+        """
+        self.used += np.bincount(rows, minlength=self.size) * u.shape[1]
+        over = self.used > self.budget
+        if np.count_nonzero(over):
+            self.fail(over.argmax(), EvaluationBudgetError(
+                f"evaluation budget of {self.budget} points exhausted"))
+        step = max(1, _MAX_POINTS // u.shape[1])
+        y = np.concatenate([self._evaluate(u[s:s + step], rows[s:s + step])
+                            for s in range(0, rows.size, step)])
+        finite = np.isfinite(y)
+        if np.count_nonzero(finite) < y.size:
+            bad = (~finite.all(axis=1) & (rows < self.first_failure)).nonzero()[0]
+            if bad.size:
+                r = bad[rows[bad].argmin()]
+                self.fail(rows[r], EvaluationError(
+                    f"integrand non-finite at interior point x={u[r][~finite[r]][0]!r}"))
+        return y
+
+    def _evaluate(self, u, rows):
+        if not self.transformed:
+            return np.asarray(self.fn(u, rows), dtype=float)
+        mapped = self.mapped[rows][:, None]
+        w = np.where(mapped, 1.0 - u, 1.0)
+        x = np.where(mapped, self.origin[rows][:, None] + u / w, u)
+        if self.reflected:
+            x = np.where(self.reflect[rows][:, None], -x, x)
+        return np.asarray(self.fn(x, rows), dtype=float) / (w * w)
+
+
+def _rule(batch: _Batch, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """Gauss-Kronrod 15/7 estimates and errors of the panels (a, b) of ``rows``."""
     h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    y = _eval(fn, c + h * _XK, budget)
-    ik = h * float(_WK @ y)
-    ig = h * float(_WG @ y[_GAUSS_IDX])
-    diff = abs(ik - ig)
+    y = batch.values((0.5 * (a + b))[:, None] + h[:, None] * _XK, rows)
+    s = y @ _W
+    ik = h * s[:, 0]
+    diff = h * np.abs(s[:, 0] - s[:, 1])
     # QUADPACK-style rescaled error estimate.
-    resasc = h * float(_WK @ np.abs(y - ik / (b - a)))
-    if resasc > 0.0 and diff > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    return ik, err
+    resasc = h * (np.abs(y - 0.5 * s[:, :1]) @ _WK)
+    # (Where resasc is 0 the panel is constant and the estimate 0.)
+    return ik, resasc * np.fmin(1.0, (200.0 * diff / resasc) ** 1.5)
 
 
 # ---------------------------------------------------------------------------
 # endpoint classification
 # ---------------------------------------------------------------------------
 
-CONVERGENT = "convergent"
-DIVERGENT = "divergent"
-INCONCLUSIVE = "inconclusive"
 
+def _classify(batch: _Batch):
+    """Status codes (M, 2) of every member's endpoints.
 
-def _fit_exponent(fn, distances: np.ndarray, points: np.ndarray, budget: _Budget):
-    """Least-squares slope of log|fn| against log(distance to endpoint)."""
-    y = np.abs(_eval(fn, points, budget))
-    mask = y > 0.0
-    if mask.sum() < 4:
-        # Integrand numerically vanishes at the endpoint: nothing to diverge.
-        return None
-    lx = np.log(distances[mask])
-    ly = np.log(y[mask])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
-
-
-def _classify_finite_endpoint(fn, endpoint: float, inward: float, hint, budget) -> str:
-    if hint is not None:
-        return DIVERGENT if hint <= -1.0 else CONVERGENT
-    # 3 decades of geometric approach toward the endpoint.
-    h0 = abs(inward - endpoint) / 4.0
-    d = h0 * np.logspace(0.0, -3.0, 16)
-    sign = 1.0 if inward > endpoint else -1.0
-    p = _fit_exponent(fn, d, endpoint + sign * d, budget)
-    if p is None:
-        return CONVERGENT
-    if p <= -1.0 - EXPONENT_BAND:
-        return DIVERGENT
-    if p >= -1.0 + EXPONENT_BAND:
-        return CONVERGENT
-    return INCONCLUSIVE
+    A hint decides at once.  An unhinted singular end is classified by the
+    least-squares slope of log|f| against the log distance over 3 decades
+    of geometric approach; all such ends are probed in one evaluator call.
+    """
+    singular = batch.singular
+    status = np.where(singular, np.where(batch.exponent <= -1.0, 1, 0), -1)
+    members, sides = (singular & np.isnan(batch.exponent)).nonzero()
+    if members.size:
+        y, d = batch.probe(members, sides, _FIT)
+        # Points where the integrand numerically vanishes carry no slope.
+        mask = np.abs(y) > 0.0
+        n = np.count_nonzero(mask, axis=1)
+        lx = np.where(mask, np.log(d), 0.0)
+        ly = np.where(mask, np.log(np.where(mask, np.abs(y), 1.0)), 0.0)
+        dx = np.where(mask, lx - (lx.sum(axis=1) / n)[:, None], 0.0)
+        p = (dx * ly).sum(axis=1) / (dx * dx).sum(axis=1)
+        # Fewer than four points: the integrand vanishes at the endpoint,
+        # nothing to diverge.
+        status[members, sides] = np.where(
+            (n < 4) | (p >= -1.0 + EXPONENT_BAND), 0,
+            np.where(p <= -1.0 - EXPONENT_BAND, 1, 2))
+    return status
 
 
 def detect_divergence(g: Integrand, budget: int = DEFAULT_BUDGET) -> dict[str, str]:
@@ -251,132 +404,354 @@ def detect_divergence(g: Integrand, budget: int = DEFAULT_BUDGET) -> dict[str, s
 
     Returns a mapping from ``"lower"``/``"upper"`` to one of
     ``"convergent"``, ``"divergent"``, ``"inconclusive"``.  It holds every
-    endpoint declared singular and every infinite endpoint, which the
-    substitution onto a finite interval always makes singular.  The
-    decision uses the analytic exponent hint when ``g`` carries one,
-    otherwise a power-law fit over three decades of geometric approach;
-    fitted exponents within ``EXPONENT_BAND`` of -1 are never silently
-    classified.  Doubly-infinite integrands raise ``ValueError``.
+    endpoint declared singular or hinted negative, and every infinite
+    endpoint, which the substitution onto a finite interval always makes
+    singular.  The decision uses the analytic exponent hint when ``g``
+    carries one, otherwise a power-law fit over three decades of geometric
+    approach; fitted exponents within ``EXPONENT_BAND`` of -1 are never
+    silently classified.  Doubly-infinite integrands raise ``ValueError``.
     """
-    out = _classify_declared_endpoints(_map_infinite(g), _Budget(budget))
-    if math.isinf(g.lower):
-        # The substitution reflects a lower-infinite interval: sides swap.
-        return {("upper" if side == "lower" else "lower"): status
-                for side, status in out.items()}
-    return out
+    with np.errstate(all="ignore"):
+        batch = _Batch(_rows(g.fn), np.array([g.lower], dtype=float),
+                       np.array([g.upper], dtype=float), budget, g.exponent_lower,
+                       g.exponent_upper, g.singular_lower, g.singular_upper)
+        status = _classify(batch)
+    if batch.error is not None:
+        raise batch.error
+    sides = _SIDES[::-1] if math.isinf(g.lower) else _SIDES  # reflected: sides swap
+    return {side: _STATUS[code] for side, code in zip(sides, status[0]) if code >= 0}
 
 
-def _endpoint_sign(fn, endpoint: float, inward: float, budget: _Budget) -> float:
-    sign = 1.0 if inward > endpoint else -1.0
-    d = abs(inward - endpoint) / 4.0 * np.logspace(-1.0, -3.0, 5)
-    y = _eval(fn, endpoint + sign * d, budget)
-    s = float(np.sign(y.sum()))
-    return s if s != 0.0 else 1.0
+def _resolve_divergent(batch: _Batch, status):
+    """Decide the members with an end that is not convergent.
+
+    The first such end (lower, then upper) decides: an inconclusive one
+    fails its member, a divergent one gives the member an infinite value
+    with the sign of the integrand next to that end.  Returns the decided
+    members as a mask and the values (NaN where not divergent).
+    """
+    value = np.full(batch.size, np.nan)
+    side = np.where(status[:, 0] > 0, 0, 1)
+    code = status[np.arange(batch.size), side]
+    undecided = (code == 2).nonzero()[0]
+    if undecided.size:
+        batch.fail(undecided[0], DivergenceUndecidedError(
+            f"cannot classify singular {_SIDES[side[undecided[0]]]} endpoint: "
+            "local exponent too close to -1"))
+    members = ((code == 1) & (np.arange(batch.size) < batch.first_failure)).nonzero()[0]
+    if members.size:
+        s = np.sign(batch.probe(members, side[members], _PROBE)[0].sum(axis=1))
+        value[members] = np.where(s == 0.0, 1.0, s) * math.inf
+    return code > 0, value
 
 
 # ---------------------------------------------------------------------------
 # singular-endpoint ladders
 # ---------------------------------------------------------------------------
 
-_LADDER_MAX = 40
-_EPS = np.finfo(float).eps
 
+def _extrapolate_tail(hist: np.ndarray, n: np.ndarray, rho: np.ndarray):
+    """Tail remainders and their errors of ladders with rung values ``hist``.
 
-def _ladder(fn, endpoint: float, far: float, tol_scale: float, budget: _Budget,
-            exponent: float | None):
-    """Geometric subdivision toward ``endpoint`` over (endpoint, far].
-
-    Returns (panels, remainder, remainder_error).  Panels are
-    (a, b, value, error) tuples suitable for further adaptive refinement;
-    the remainder is the unresolved mass between the deepest panel and the
-    endpoint, estimated by fitting the two leading terms of the local
-    expansion s(d)*d**p (s analytic in the distance d) to the panel
-    values.  The ladder stops as soon as that estimate is trustworthy to a
-    small fraction of ``tol_scale``, which also keeps panels out of the
-    floating-point cancellation zone right next to the endpoint.
+    Column k + 3 of ``hist`` (L, m) is the deepest rung when the ladder
+    holds ``n[:, k]`` rungs; the three columns before it are the rungs
+    above.  The remainder is the unresolved mass between the deepest rung
+    and the endpoint.  It fits the two leading terms of the local expansion
+    s(d) d**p (s analytic in the distance d), I_j = A r**j + B (r/2)**j
+    with r = 2**-(1+p), through the last two rungs and sums the model
+    geometrically: r ((3-r) I_last - r I_prev) / ((1-r)(2-r)).  The same
+    prediction made one rung earlier gives the error.  r is ``rho`` (L, 1),
+    from the exponent hint, or where that is NaN the decay of the last four
+    rungs.  A ladder with fewer than five rungs, or with no usable
+    geometric structure, charges its last rung as error.
     """
-    h = far - endpoint  # signed: positive when approaching from above
-    # Depth at which evaluating the distance to the endpoint loses more
-    # than ~1e-9 relative precision; panel values below it are noise.
-    d_noise = _EPS * max(abs(endpoint), abs(h)) * 1e7
-    panels = []
-    values = []
-    j = 0
-    while j < _LADDER_MAX:
-        hi = endpoint + h * 2.0**-j
-        lo = endpoint + h * 2.0 ** -(j + 1)
-        a, b = (lo, hi) if h > 0 else (hi, lo)
-        if not (a < b) or a == endpoint or b == endpoint:
-            break
-        val, err = _panel(fn, a, b, budget)
-        if values and abs(val) > abs(values[-1]) \
-                and abs(val) < 1e-3 * max(abs(v) for v in values):
-            # Deep in the decayed regime panel values must keep shrinking
-            # geometrically; a rebound there means the evaluator hit its
-            # noise floor.  (Shallow rebounds are legitimate: the
-            # next-order endpoint term can dominate the first few panels.)
-            break
-        panels.append((a, b, val, err))
-        values.append(val)
-        if j >= 5:
-            rem, rem_err = _extrapolate_tail(values, exponent)
-            if rem_err < 0.02 * tol_scale:
-                return panels, rem, rem_err
-        if abs(h) * 2.0 ** -(j + 1) < d_noise:
-            break
-        j += 1
-    rem, rem_err = _extrapolate_tail(values, exponent)
-    return panels, rem, rem_err
+    i0, i1, i2, i3 = hist[:, :-3], hist[:, 1:-2], hist[:, 2:-1], hist[:, 3:]
+    r = rho
+    unhinted = np.isnan(rho)
+    if np.count_nonzero(unhinted):
+        s0, s1, s2, s3 = np.sign(i0), np.sign(i1), np.sign(i2), np.sign(i3)
+        r3 = np.abs(i3 / i2)
+        geometric = ((s0 == s1) & (s1 == s2) & (s2 == s3) & (s0 != 0.0)
+                     & (np.abs(i1 / i0) < 0.999) & (np.abs(i2 / i1) < 0.999) & (r3 < 0.999))
+        r = np.where(unhinted & geometric, r3, rho)
+    q = r / ((1.0 - r) * (2.0 - r))
+    c3, c2 = q * (3.0 - r), q * r
+    rem = c3 * i3 - c2 * i2
+    err = np.abs(rem - c3 * i2 + c2 * i1 + i3) + 1e-12 * np.abs(rem)
+    usable = (n >= 5) & (r < 0.999)
+    return np.where(usable, rem, 0.0), np.where(usable, err, np.abs(i3))
 
 
-def _fit_ratio(values):
-    """Geometric decay ratio of the trailing panel values, or None."""
-    tail = values[-4:]
-    if len(tail) < 4 or any(v == 0.0 for v in tail):
-        return None
-    if len({math.copysign(1.0, v) for v in tail}) != 1:
-        return None
-    ratios = [abs(tail[i + 1] / tail[i]) for i in range(len(tail) - 1)]
-    if any(r >= 0.999 for r in ratios):
-        return None
-    return ratios[-1]
+# ---------------------------------------------------------------------------
+# adaptive rounds
+# ---------------------------------------------------------------------------
 
 
-def _two_term_tail(values, rho, upto):
-    """Predicted sum of all panel values beyond index ``upto``.
+class _Rounds:
+    """Panels and ladders of the members being integrated, refined in rounds.
 
-    Fits I_j = A*rho**j + B*(rho/2)**j through values[upto-1], values[upto]
-    (the rho/2 component is the next-order term of the endpoint expansion)
-    and sums the model geometrically.
+    Active panels are ``pm`` (member) and the columns of ``F``: bounds,
+    value, error, noise-floor strikes, and the share of its parent's error
+    that the split making the panel kept (0 for panels no split made).  A
+    member's panels split only after its ladders are done.  Panels that
+    bisection cannot improve (float resolution, or the evaluator's noise
+    floor) are frozen: their value and error stay in the member's total, in
+    ``fixed`` and ``floor``, and they are never split again.
     """
-    sig = 0.5 * rho
-    i1, i0 = values[upto], values[upto - 1]
-    # Unknowns x = A*rho**upto, y = B*sig**upto:  x + y = i1,  x/rho + y/sig = i0.
-    det = 1.0 / sig - 1.0 / rho
-    x = (i1 / sig - i0) / det
-    y = i1 - x
-    return x * rho / (1.0 - rho) + y * sig / (1.0 - sig)
 
+    def __init__(self, batch: _Batch, members: np.ndarray, tol: np.ndarray):
+        size = batch.size
+        self.batch, self.tol = batch, tol
+        self.value, self.error, self.fixed, self.floor = np.zeros((4, size))
+        self.running = np.zeros(size, dtype=bool)
+        self.running[members] = True
+        self.open = np.zeros(size, dtype=np.int64)
+        self.pm, self.F = members[:0], _NO_PANELS
+        self._first_round(members)
 
-def _extrapolate_tail(values, exponent) -> tuple[float, float]:
-    if len(values) < 5:
-        return 0.0, (abs(values[-1]) if values else 0.0)
-    measured = _fit_ratio(values)
-    if exponent is not None:
-        rho = 2.0 ** -(1.0 + exponent)
-    elif measured is not None:
-        rho = measured
-    else:
-        # No usable geometric structure: charge the full last panel as error.
-        return 0.0, abs(values[-1])
-    if not rho < 0.999:
-        return 0.0, abs(values[-1])
-    last = len(values) - 1
-    rem = _two_term_tail(values, rho, last)
-    # Consistency check: the same prediction made one level earlier.
-    rem_prev = _two_term_tail(values, rho, last - 1) - values[last]
-    rem_err = abs(rem - rem_prev) + 1e-12 * abs(rem)
-    return rem, rem_err
+    def _add(self, pm, a, b, v, e, strikes, kept):
+        self.pm = np.concatenate([self.pm, pm])
+        self.F = np.concatenate([self.F, np.array([a, b, v, e, strikes, kept])], axis=1)
+
+    def _freeze(self, pm, v, e):
+        np.add.at(self.fixed, pm, v)
+        np.add.at(self.floor, pm, e)
+
+    def _first_round(self, members):
+        """Initial partitions, cut at the breakpoints, and the first block of
+        rungs of every ladder, in one call."""
+        b = self.batch
+        lo, hi = b.lower[members], b.upper[members]
+        singular = b.singular[members]
+        r, side = singular.nonzero()
+        self.lm = members[r]
+        self.live = np.ones(r.size, dtype=bool)
+        self.nlive = r.size
+        left, right = lo, hi
+        if r.size:
+            span = hi - lo
+            left = np.where(singular[:, 0], lo + span / 4.0, lo)
+            right = np.where(singular[:, 1], hi - span / 4.0, hi)
+            self._ladders(r, side, lo, hi, left, right)
+        width = right - left
+        graded = width > 10.0 * (1.0 + np.abs(left))
+        pts = np.sort(np.concatenate([
+            left[:, None] + width[:, None] * _PARTITIONS[graded.view(np.int8)],
+            np.clip(b.cuts[members], left[:, None], right[:, None])], axis=1), axis=1)
+        r, c = (pts[:, :-1] < pts[:, 1:]).nonzero()
+        pm, pa, pb = members[r], pts[r, c], pts[r, c + 1]
+        v, e = self._round(pm, pa, pb, first=True)
+        zero = np.zeros(pm.size)
+        self._add(pm, pa, pb, v, e, zero, zero)
+
+    # -- ladders -------------------------------------------------------------
+
+    def _ladders(self, r, side, lo, hi, left, right):
+        """Ladders toward the singular ends ``side`` of members ``r``.
+
+        ``lgeo`` holds each ladder's endpoint, signed span h, last rung and
+        tail decay ratio; ``lvals`` its rung values after four leading
+        zeros; ``lstate`` its largest rung value and the tail remainder and
+        its error after the rungs taken so far."""
+        end = np.array([lo, hi])[side, r]
+        h = np.array([left, right])[side, r] - end
+        # A ladder ends at the rung from which evaluating the distance to the
+        # endpoint loses more than ~1e-9 relative precision (panel values
+        # below it are noise), and at _LADDER_MAX rungs.
+        noise = _EPS * np.maximum(np.abs(end), np.abs(h)) * 1e7
+        last = np.minimum(np.count_nonzero(
+            np.abs(h)[:, None] * _POW2[1:_LADDER_MAX + 1] >= noise[:, None], axis=1),
+            _LADDER_MAX - 1)
+        # The decay ratio 2**-(1+p) from the exponent hint p (NaN: none).
+        rho = 2.0 ** -(1.0 + self.batch.exponent[self.lm, side])
+        self.lgeo = np.array([end, h, last, rho]).T
+        self.lvals = np.zeros((r.size, _LADDER_MAX + 4))
+        self.ln = np.zeros(r.size, dtype=np.int64)
+        self.lstate = np.zeros((r.size, 3))
+        np.add.at(self.open, self.lm, 1)
+
+    def _block(self, ids):
+        """The next ``_RUNGS`` rungs of ladders ``ids``: their bounds, and
+        whether each is representable and every rung before it too.  Rung j
+        spans distances |h| 2**-(j+1) to |h| 2**-j from the endpoint."""
+        n = self.ln[ids][:, None]
+        geo = self.lgeo[ids]
+        end = geo[:, :1]
+        x = end + geo[:, 1:2] * _POW2[n + _EDGES]
+        a, b = np.minimum(x[:, 1:], x[:, :-1]), np.maximum(x[:, 1:], x[:, :-1])
+        ok = (a < b) & (a != end) & (b != end) & (n + _BLOCK < _LADDER_MAX)
+        return a, b, np.logical_and.accumulate(ok, axis=1)
+
+    def _climb(self, ids, a, b, ok, v, e):
+        """Append each ladder's block of rungs in order and finish the
+        ladders that end in it.  A ladder ends before a rung that rebounds
+        or is not representable, after its last rung, and once the tail
+        remainder of a rung from the sixth on is good to 2% of the
+        tolerance; it then keeps the rungs up to the one with the best such
+        remainder in the block."""
+        geo = self.lgeo[ids]
+        n = self.ln[ids][:, None]
+        state = self.lstate[ids]
+        j = n + _BLOCK
+        av = np.abs(v)
+        # hist: the ladder's last four values, then the block; seen[:, c]:
+        # the largest value before rung c.
+        hist = np.concatenate([self.lvals[ids[:, None], n + _LAST4], v], axis=1)
+        seen = np.maximum.accumulate(np.concatenate([state[:, :1], av], axis=1), axis=1)
+        # Deep in the decayed regime panel values must keep shrinking
+        # geometrically; a rebound there means the evaluator hit its noise
+        # floor.  (Shallow rebounds are legitimate: the next-order endpoint
+        # term can dominate the first few panels.)
+        skip = ~ok | ((j > 0) & (av > np.abs(hist[:, 3:-1])) & (av < 1e-3 * seen[:, :-1]))
+        halt = skip | (j >= geo[:, 2:3])
+        r = np.arange(ids.size)
+        first = halt.argmax(axis=1)
+        take = np.where(halt[r, first], first + ~skip[r, first], _RUNGS)
+        # Tail model after each count of rungs taken, from none to all.
+        rem, err = _extrapolate_tail(hist, n + _EDGES, geo[:, 3:])
+        good = ((err[:, 1:] < 0.02 * self.tol_scale[self.lm[ids]][:, None]) & (j >= 5)
+                & (_BLOCK < take[:, None]))
+        met = np.logical_or.reduce(good, axis=1)
+        take = np.where(met, np.where(good, err[:, 1:], np.inf).argmin(axis=1) + 1, take)
+        keep = _BLOCK < take[:, None]
+        rows = np.repeat(ids, take)
+        v = v[keep]
+        self.lvals[rows, j[keep] + 4] = v
+        zero = np.zeros(rows.size)
+        self._add(self.lm[rows], a[keep], b[keep], v, e[keep], zero, zero)
+        self.ln[ids] = n[:, 0] + take
+        self.lstate[ids] = np.array([seen[r, take], rem[r, take], err[r, take]]).T
+        self._finish(ids[met | (take < _RUNGS) | halt[:, -1]])
+
+    def _finish(self, ids):
+        """End ladders ``ids``: their tail remainders join the fixed part."""
+        if not ids.size:
+            return
+        state = self.lstate[ids]
+        self._freeze(self.lm[ids], state[:, 1], state[:, 2])
+        np.subtract.at(self.open, self.lm[ids], 1)
+        self.live[ids] = False
+        self.nlive -= ids.size
+
+    # -- rounds --------------------------------------------------------------
+
+    def _round(self, pm, a, b, first=False):
+        """Evaluate the panels (pm, a, b) and the next block of rungs of every
+        live ladder in one call; let the ladders climb, and return the
+        panels' values and errors.  The first round also sets each member's
+        tolerance scale, the sum of |value| over its initial panels."""
+        k = pm.size
+        rows = pm
+        if self.nlive:
+            ids = self.live.nonzero()[0]
+            ra, rb, ok = self._block(ids)
+            if np.count_nonzero(ok[:, 0]) < ids.size:
+                self._finish(ids[~ok[:, 0]])
+                ids, ra, rb, ok = ids[ok[:, 0]], ra[ok[:, 0]], rb[ok[:, 0]], ok[ok[:, 0]]
+            rr, rc = ok.nonzero()
+            a, b = np.concatenate([a, ra[rr, rc]]), np.concatenate([b, rb[rr, rc]])
+            rows = np.concatenate([pm, self.lm[ids[rr]]])
+        if not rows.size:
+            return a, a
+        v, e = _rule(self.batch, a, b, rows)
+        if first and self.nlive:
+            scale = np.bincount(pm, np.abs(v[:k]), self.batch.size)
+            self.tol_scale = np.maximum(self.tol, self.tol * scale)
+        if rows.size > k:
+            rv, re = np.zeros(ok.shape), np.zeros(ok.shape)
+            rv[rr, rc], re[rr, rc] = v[k:], e[k:]
+            self._climb(ids, ra, rb, ok, rv, re)
+        return v[:k], e[:k]
+
+    def _prune(self):
+        """Drop the members at and after the batch's first failure."""
+        f = self.batch.first_failure
+        self.running[f:] = False
+        keep = self.pm < f
+        self.pm, self.F = self.pm[keep], self.F[:, keep]
+        self.live &= self.lm < f
+        self.nlive = np.count_nonzero(self.live)
+
+    def run(self):
+        b, tol = self.batch, self.tol
+        size = b.size
+        while True:
+            if b.first_failure < size:
+                self._prune()
+            if not np.count_nonzero(self.running):
+                return
+            pm, F = self.pm, self.F
+            total = self.fixed + np.bincount(pm, F[2], size)
+            err = self.floor + np.bincount(pm, F[3], size)
+            limit = np.maximum(tol, tol * np.abs(total))
+            ready = self.running & (self.open == 0)
+            done = ready & (err <= limit)
+            if np.count_nonzero(done):
+                np.copyto(self.value, total, where=done)
+                np.copyto(self.error, err, where=done)
+                self.running ^= done
+                if not np.count_nonzero(self.running):
+                    return
+                ready ^= done
+            free = limit - self.floor
+            stuck = ready & (free < 0.0)
+            if np.count_nonzero(stuck):
+                m = stuck.argmax()
+                b.fail(m, EvaluationBudgetError(
+                    "tolerance unreachable: residual error "
+                    f"{self.floor[m]:.3e} cannot be reduced by further subdivision"))
+                self._prune()
+                ready &= self.running
+                pm, F = self.pm, self.F
+            # Split every panel of a ready member whose error exceeds its
+            # share of the member's free tolerance.
+            share = _SPLIT_SHARE * free / np.bincount(pm, minlength=size)
+            self._split(ready[pm] & (F[3] > share[pm]), free)
+
+    def _split(self, chosen, free):
+        """Split the panels ``chosen`` (a mask) and evaluate the pieces.
+
+        A panel is bisected, or split in four where its own bisection is
+        predicted (its error times the share its parent's split kept) to
+        leave more than its member's free tolerance: two rounds of
+        bisection would then evaluate at least the same four quarters in
+        one more round.  A panel that float resolution cannot bisect is
+        frozen.
+        """
+        pm, F = self.pm, self.F
+        m, (a, b, v, e, strikes, kept) = pm[chosen], F[:, chosen]
+        chosen = ~chosen
+        self.pm, self.F = pm[chosen], F[:, chosen]
+        mid = 0.5 * (a + b)
+        ok = (a < mid) & (mid < b)
+        if np.count_nonzero(ok) < ok.size:
+            self._freeze(m[~ok], v[~ok], e[~ok])
+            m, a, b, e, strikes, kept, mid = (m[ok], a[ok], b[ok], e[ok], strikes[ok],
+                                              kept[ok], mid[ok])
+        # Cut points of each parent; a bisected one repeats mid and b, and
+        # the empty pieces between repeats drop out.
+        deep = kept * e > free[m]
+        cuts = np.array([a, np.where(deep, 0.5 * (a + mid), mid), mid,
+                         np.where(deep, 0.5 * (mid + b), b), b])
+        lo, hi = cuts[:-1].ravel(), cuts[1:].ravel()
+        piece = (lo < hi).nonzero()[0]
+        owner = piece % m.size
+        lo, hi = lo[piece], hi[piece]
+        pm = m[owner]
+        v, e2 = self._round(pm, lo, hi)
+        kept = np.bincount(owner, e2, m.size) / e
+        # Persistent non-improvement on an already narrow panel means the
+        # evaluator's noise floor; a non-improving split on a wide panel is
+        # just an optimistic parent estimate being corrected.
+        span = self.batch.upper[m] - self.batch.lower[m]
+        narrow = (b - a < 1e-6 * span) & (kept > 0.9)
+        strikes = np.where(narrow, strikes + 1.0, 0.0)[owner]
+        if np.count_nonzero(narrow):
+            go = strikes < 3.0
+            self._freeze(pm[~go], v[~go], e2[~go])
+            pm, lo, hi, v, e2, strikes, owner = (pm[go], lo[go], hi[go], v[go], e2[go],
+                                                 strikes[go], owner[go])
+        self._add(pm, lo, hi, v, e2, strikes, kept[owner])
 
 
 # ---------------------------------------------------------------------------
@@ -384,29 +759,52 @@ def _extrapolate_tail(values, exponent) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _map_infinite(g: Integrand) -> Integrand:
-    """Substitute away infinite endpoints, mapping onto a finite interval."""
-    if math.isinf(g.lower) and math.isinf(g.upper):
-        raise ValueError("doubly-infinite integrands must be split at a finite point")
-    if math.isinf(g.lower):
-        # Reflect x -> -y onto (-upper, inf); the sides swap.
-        g = Integrand(lambda y, _fn=g.fn: _fn(-y), -g.upper, math.inf,
-                      singular_lower=g.singular_upper, singular_upper=g.singular_lower,
-                      exponent_lower=g.exponent_upper, exponent_upper=g.exponent_lower)
-    if not math.isinf(g.upper):
-        return g
+def integrate_batch(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
+                    exponent_lower=None, exponent_upper=None,
+                    singular_lower=False, singular_upper=False,
+                    breakpoints=()) -> list[QuadratureResult]:
+    """Integrate M integrands that share the broadcasting evaluator ``fn``.
 
-    def mapped(u, _fn=g.fn, _a=g.lower):
-        w = 1.0 - u
-        return _fn(_a + u / w) / (w * w)
+    ``fn(x, rows)`` receives a (k, n) float array of points and the (k,)
+    member index of each row, and returns the (k, n) values.  ``lower``
+    and ``upper`` give each member's interval; ``tol``, the end hints and
+    the singular flags give one value per member or one for all, with the
+    meaning they have on :class:`Integrand` (None or NaN: no hint).
+    ``breakpoints`` is an (M, n) array of each member's breakpoints, or one
+    (n,) row for all, padded with NaN.  A member with ``not lower < upper``
+    is an empty range and integrates to 0.  Each member gets ``budget``
+    evaluations, meets its own tolerance and may diverge on its own, as
+    :func:`integrate` of that member alone would; the batch raises the
+    error of its first failing member.
+    """
+    lower = np.array(lower, dtype=float, ndmin=1)
+    upper = np.array(upper, dtype=float, ndmin=1)
+    if lower.shape != upper.shape:
+        lower, upper = np.broadcast_arrays(lower, upper)
+    tol = np.asarray(tol, dtype=float)
+    if np.count_nonzero(tol > 0.0) < tol.size:
+        raise ValueError("tol must be positive")
+    with np.errstate(all="ignore"):
+        batch = _Batch(fn, lower, upper, budget, exponent_lower, exponent_upper,
+                       singular_lower, singular_upper, breakpoints)
+        diverged, infinite = _resolve_divergent(batch, _classify(batch))
+        run = ~batch.empty & ~diverged
+        run[batch.first_failure:] = False
+        rounds = _Rounds(batch, run.nonzero()[0], tol)
+        rounds.run()
+    if batch.error is not None:
+        raise batch.error
+    value = np.where(diverged, infinite, rounds.value)
+    error = np.where(diverged, math.inf, rounds.error)
+    return [QuadratureResult(*r) for r in zip(value.tolist(), error.tolist(),
+                                              batch.used.tolist(), diverged.tolist())]
 
-    # Tail power p at +inf becomes -(2 + p) at u = 1.
-    exp_u = None if g.exponent_upper is None else -(2.0 + g.exponent_upper)
-    return Integrand(mapped, 0.0, 1.0,
-                     singular_lower=g.singular_lower,
-                     singular_upper=True,
-                     exponent_lower=g.exponent_lower,
-                     exponent_upper=exp_u)
+
+def _rows(fn):
+    """A batch evaluator handing ``fn`` every point of a call as one 1-d array."""
+    def evaluate(x, rows):
+        return np.reshape(fn(x.ravel()), x.shape)
+    return evaluate
 
 
 def integrate(g: Integrand, tol: float = DEFAULT_TOL,
@@ -418,125 +816,14 @@ def integrate(g: Integrand, tol: float = DEFAULT_TOL,
     ``diverged`` result whose value is +/-inf with the local sign of the
     integrand; an unclassifiable one raises
     :class:`DivergenceUndecidedError`.  Running out of evaluations raises
-    :class:`EvaluationBudgetError`.
+    :class:`EvaluationBudgetError`.  This is :func:`integrate_batch` of
+    one member.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    b = _Budget(budget)
-    finite = _map_infinite(g)
-
-    statuses = _classify_declared_endpoints(finite, b)
-    for side, status in statuses.items():
-        if status == DIVERGENT:
-            endpoint = finite.lower if side == "lower" else finite.upper
-            sign = _endpoint_sign(finite.fn, endpoint,
-                                  0.5 * (finite.lower + finite.upper), b)
-            return QuadratureResult(sign * math.inf, math.inf, b.used, diverged=True)
-        if status == INCONCLUSIVE:
-            raise DivergenceUndecidedError(
-                f"cannot classify singular {side} endpoint: local exponent too close to -1"
-            )
-
-    lo, hi = finite.lower, finite.upper
-    span = hi - lo
-    panels: list[tuple[float, float, float, float]] = []
-    extra_value = 0.0
-    extra_error = 0.0
-
-    left = lo + span / 4.0 if finite.singular_lower else lo
-    right = hi - span / 4.0 if finite.singular_upper else hi
-    scale = 0.0
-    if left < right:
-        for a2, b2 in _initial_partition(left, right):
-            val, err = _panel(finite.fn, a2, b2, b)
-            panels.append((a2, b2, val, err))
-            scale += abs(val)
-    tol_scale = max(tol, tol * scale)
-
-    if finite.singular_lower:
-        lp, rem, rem_err = _ladder(finite.fn, lo, left, tol_scale, b,
-                                   finite.exponent_lower)
-        panels.extend(lp)
-        extra_value += rem
-        extra_error += rem_err
-    if finite.singular_upper:
-        lp, rem, rem_err = _ladder(finite.fn, hi, right, tol_scale, b,
-                                   finite.exponent_upper)
-        panels.extend(lp)
-        extra_value += rem
-        extra_error += rem_err
-
-    value, error = _refine(finite.fn, panels, extra_value, extra_error, tol, b,
-                           span)
-    return QuadratureResult(value, error, b.used, diverged=False)
-
-
-def _initial_partition(lo: float, hi: float) -> list[tuple[float, float]]:
-    """Initial panels for the adaptive loop.
-
-    A single wide panel can look falsely converged when the mass is
-    concentrated near one end, so wide intervals start from a graded mesh.
-    """
-    span = hi - lo
-    if span > 10.0 * (1.0 + abs(lo)):
-        fracs = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0]
-    else:
-        fracs = [0.0, 0.25, 0.5, 0.75, 1.0]
-    pts = [lo + span * f for f in fracs]
-    return [(a, b) for a, b in zip(pts[:-1], pts[1:]) if a < b]
-
-
-def _classify_declared_endpoints(finite: Integrand, b: _Budget) -> dict[str, str]:
-    out: dict[str, str] = {}
-    probe = 0.5 * (finite.lower + finite.upper)
-    if finite.singular_lower:
-        out["lower"] = _classify_finite_endpoint(
-            finite.fn, finite.lower, probe, finite.exponent_lower, b)
-    if finite.singular_upper:
-        out["upper"] = _classify_finite_endpoint(
-            finite.fn, finite.upper, probe, finite.exponent_upper, b)
-    return out
-
-
-def _refine(fn, panels, extra_value, extra_error, tol, budget: _Budget,
-            span: float):
-    heap = []
-    total = extra_value
-    err = extra_error
-    tag = 0
-    for a, b, v, e in panels:
-        total += v
-        err += e
-        heapq.heappush(heap, (-e, tag, a, b, v, e, 0))
-        tag += 1
-    # Error frozen in panels that bisection cannot improve (float resolution
-    # or evaluator noise floor); never worth splitting further.
-    floor_err = extra_error
-    narrow = 1e-6 * span
-    while heap and err > max(tol, tol * abs(total)):
-        if floor_err > max(tol, tol * abs(total)):
-            raise EvaluationBudgetError(
-                "tolerance unreachable: residual error "
-                f"{floor_err:.3e} cannot be reduced by further subdivision")
-        neg_e, _, a, b, v, e, strikes = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        if not (a < m < b):
-            floor_err += e
-            continue
-        v1, e1 = _panel(fn, a, m, budget)
-        v2, e2 = _panel(fn, m, b, budget)
-        total += v1 + v2 - v
-        err += e1 + e2 - e
-        # Persistent non-improvement on an already narrow panel means the
-        # evaluator's noise floor; a non-improving split on a wide panel is
-        # just an optimistic parent estimate being corrected.
-        s = strikes + 1 if (e1 + e2 > 0.9 * e and b - a < narrow) else 0
-        if s >= 3:
-            floor_err += e1 + e2
-            continue
-        heapq.heappush(heap, (-e1, tag, a, m, v1, e1, s)); tag += 1
-        heapq.heappush(heap, (-e2, tag, m, b, v2, e2, s)); tag += 1
-    return total, err
+    return integrate_batch(
+        _rows(g.fn), [g.lower], [g.upper], tol=tol, budget=budget,
+        exponent_lower=g.exponent_lower, exponent_upper=g.exponent_upper,
+        singular_lower=g.singular_lower, singular_upper=g.singular_upper,
+        breakpoints=[g.breakpoints])[0]
 
 
 def integrate_fn(fn, lower: float, upper: float, *, tol: float = DEFAULT_TOL,

@@ -195,8 +195,8 @@ def _ratio_integrand(dist, tr: MonotoneTransform, lo: float, hi: float) -> Integ
     singular_lower = lo == sup_lo and p_lo is not None and p_lo < 0.0
     singular_upper = (not math.isinf(hi)) and hi == sup_hi \
         and p_hi is not None and p_hi < 0.0
-    return Integrand(fn, lo, hi,
-                     singular_lower=singular_lower, singular_upper=singular_upper)
+    return Integrand(fn, lo, hi, singular_lower=singular_lower,
+                     singular_upper=singular_upper, breakpoints=dist.breakpoints)
 
 
 def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> MeasureValue:
@@ -296,4 +296,5 @@ def pushforward_distribution(dist, tr: MonotoneTransform) -> UnivariateDistribut
     return UnivariateDistribution(
         family="pushforward",
         params={"base": dist.label, "transform": tr.label or "custom"},
-        support=(y_lo, y_hi), pdf=pdf, cdf=cdf, sf=sf, quantile=quantile)
+        support=(y_lo, y_hi), pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
+        breakpoints=tuple(np.sort(tr.phi(np.asarray(dist.breakpoints, dtype=float))).tolist()))

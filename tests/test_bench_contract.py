@@ -42,3 +42,34 @@ def test_derivative_spans_count_every_stencil_evaluation(tracer, side):
     assert h_evals > 0
     # One span for the derivative, one for Jw at t, one per stencil point.
     assert tr.calls["measures"] == 2 + h_evals
+
+
+def _bindings(tracer):
+    modules = [importlib.import_module(m) for m in tracer.MODULES]
+    return {(mod.__name__, name): value for mod in modules
+            for name, value in vars(mod).items() if callable(value)}
+
+
+@pytest.mark.parametrize("request_kind", ["bivariate_quadrature", "sum_bound"])
+def test_traced_two_dimensional_requests_are_bit_identical(tracer, request_kind):
+    from extropy import bivariate as bv
+    from extropy import claims as cl
+    from extropy.distributions import exponential, uniform
+
+    def run():
+        if request_kind == "bivariate_quadrature":
+            r = bv.bivariate_weighted_extropy(bv.bivariate_beta(0.9, 1.5, 2.0),
+                                              force_quadrature=True)
+            return (r.value, r.abs_error)
+        r = cl.sum_bound_check(exponential(1.0), uniform(0.0, 1.0))
+        return (r.lhs, r.rhs, r.gap, r.verdict)
+
+    before = _bindings(tracer)
+    untraced = run()
+    with tracer.Tracer() as tr:
+        traced = run()
+    assert traced == untraced
+    assert tr.calls["quadrature.integrate"] > 0
+    after = _bindings(tracer)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import catalog_members
 from extropy.bivariate import (
+    TOL_2D,
     bivariate_beta,
     bivariate_extropy,
     bivariate_mass,
@@ -14,6 +18,7 @@ from extropy.bivariate import (
     product_distribution,
     rectangle_distribution,
 )
+from extropy.measures import extropy, weighted_extropy
 from extropy.distributions import (
     ValidationError,
     beta_dist,
@@ -22,8 +27,6 @@ from extropy.distributions import (
     pareto,
     uniform,
 )
-
-from extropy.quadrature import Integrand
 
 BB_CASES = [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.75, 0.75, 0.75),
             (0.75, 1.0, 2.0), (2.0, 0.75, 1.0), (1.0, 2.0, 0.75)]
@@ -163,9 +166,47 @@ class TestIteratedIntegral:
     def test_combine_and_empty_inner_ranges(self):
         # I(y) = int_0^y dx = y on (0, 1) and empty on (-1, 0]:
         # int y I(y)^2 dy = 1/4.
-        def inner_at(y):
-            return Integrand(np.ones_like, 0.0, y) if y > 0 else None
-
-        r = iterated_integral(inner_at, -1.0, 1.0, combine=lambda y, v: y * v**2)
+        r = iterated_integral(lambda x, y: np.ones_like(x), lambda y: (0.0, y), -1.0, 1.0,
+                              combine=lambda y, v: y * v**2)
         assert r.value == pytest.approx(0.25, abs=1e-9)
         assert not r.diverged
+
+    def test_evaluations_count_inner_work(self):
+        # The outer integrand y I(y)^2 is 0 on (-1, 0] and y^3 on (0, 1):
+        # four 15-point panels, exact, so 60 outer points.  The 30 outer
+        # nodes in (0, 1) each integrate 1 over (0, y) on four exact panels
+        # (60 points); the 30 nodes in (-1, 0) have empty inner ranges.
+        r = iterated_integral(lambda x, y: np.ones_like(x), lambda y: (0.0, y), -1.0, 1.0,
+                              combine=lambda y, v: y * v**2)
+        assert r.evaluations == 60 + 30 * 60
+
+
+CATALOG = catalog_members()
+
+
+@settings(max_examples=10, deadline=None)
+@given(shapes=st.tuples(*[st.floats(0.76, 3.0)] * 3), weighted=st.booleans())
+def test_bivariate_beta_quadrature_meets_closed_form(shapes, weighted):
+    bd = bivariate_beta(*shapes)
+    if weighted:
+        value = bivariate_weighted_extropy(bd, force_quadrature=True).value
+        exact = bd.closed_forms["bivariate_weighted_extropy"]
+    else:
+        value = bivariate_extropy(bd, force_quadrature=True).value
+        exact = bd.closed_forms["bivariate_extropy"]
+    assert abs(value - exact) <= TOL_2D
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("j", range(len(CATALOG)))
+@pytest.mark.parametrize("i", range(len(CATALOG)))
+def test_product_quadrature_factorizes(i, j, weighted):
+    x, y = CATALOG[i], CATALOG[j]
+    bd = product_distribution(x, y)
+    if weighted:
+        value = bivariate_weighted_extropy(bd, force_quadrature=True).value
+        exact = weighted_extropy(x).value * weighted_extropy(y).value
+    else:
+        value = bivariate_extropy(bd, force_quadrature=True).value
+        exact = extropy(x).value * extropy(y).value
+    assert abs(value - exact) <= TOL_2D

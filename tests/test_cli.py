@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,22 @@ class TestTransformCommand:
         code, _, err = run_cli("transform", "--dist", EXP1, "--transform", "cube")
         assert code == 2
         assert "vocabulary" in json.loads(err)["error"]["message"]
+
+    def test_infinite_quantile_stderr_is_one_json_document(self):
+        # The pit transform at t = 1 asks the exponential quantile for p = 1.
+        # In a fresh process, with Python's default warning filters, stderr
+        # must still hold nothing but the error document.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "extropy.cli", "transform", "--dist", EXP1,
+             "--transform", "pit", "--t", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        doc = json.loads(proc.stderr)
+        assert set(doc["error"]) == {"type", "class", "message"}
 
 
 class TestClaimsCommand:

@@ -53,6 +53,12 @@ class TestExtropy:
         assert extropy(piecewise([0.3, 0.7])).value == pytest.approx(
             -0.5 * (0.09 + 0.49), rel=1e-12)
 
+    def test_tabulated_spike_between_wide_cells(self):
+        # A triangle of height 1000 on (0.499, 0.501), inside a support of
+        # 1000: the knots cut the first partition, so the spike is seen.
+        d = tabulated([[0, 0], [0.499, 0], [0.5, 1000], [0.501, 0], [1000, 0]])
+        assert extropy(d, force_quadrature=True).value == pytest.approx(-1000.0 / 3.0, rel=1e-9)
+
     def test_exponential_by_quadrature(self):
         mv = extropy(exponential(1.0))
         assert mv.method == "quadrature"
@@ -214,6 +220,18 @@ class TestWeightedResidualExtropy:
         for t in (1.5, 2.0, 4.0):
             assert weighted_residual_extropy(d, t).value == \
                 pytest.approx(-0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [0.1557197, 0.3402366472734874])
+    def test_piecewise_jumps_at_the_knots(self, t):
+        # Without the knots as breakpoints a jump can fall between a
+        # panel's end and its outermost Kronrod node, where the panel's
+        # error estimate cannot see it.
+        c = [0.25, 0.5, 0.25]
+        mass = sum(ck**2 * (max(k + 1, t) ** 2 - max(k, t) ** 2) / 2.0
+                   for k, ck in enumerate(c))
+        exact = -mass / (2.0 * (1.0 - c[0] * t) ** 2)
+        got = weighted_residual_extropy(piecewise(c), t, force_quadrature=True).value
+        assert got == pytest.approx(exact, abs=1e-10)
 
     def test_small_t_limit(self, catalog):
         for d in catalog:

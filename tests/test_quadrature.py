@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extropy.bivariate import iterated_integral
 from extropy.quadrature import (
     DivergenceUndecidedError,
     EvaluationBudgetError,
@@ -13,6 +14,7 @@ from extropy.quadrature import (
     detect_divergence,
     differentiate,
     integrate,
+    integrate_batch,
     integrate_fn,
 )
 
@@ -142,6 +144,102 @@ class TestErrorPaths:
     def test_non_finite_interior_value(self):
         with pytest.raises(EvaluationError):
             integrate_fn(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+
+
+def _dispatch(fns):
+    """One batch evaluator over per-member scalar evaluators."""
+    def fn(x, rows):
+        out = np.empty_like(x)
+        for m in np.unique(rows):
+            sel = rows == m
+            out[sel] = fns[m](x[sel])
+        return out
+    return fn
+
+
+# A mixed batch, one row of each kind: (evaluator, lower, upper, hints, tol).
+MIXED = [
+    # regular
+    (lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 2.0, {}, 1e-10),
+    # hinted singular: int_0^1 x**-0.5 (1 + x) dx = 2 + 2/3
+    (lambda x: x**-0.5 * (1.0 + x), 0.0, 1.0, {"exponent_lower": -0.5}, 1e-9),
+    # infinite, mapped onto (0, 1): int_0^inf (1 + x)**-2.5 dx = 2/3
+    (lambda x: (1.0 + x) ** -2.5, 0.0, np.inf, {"exponent_upper": -2.5}, 1e-10),
+    # lower-infinite, reflected then mapped
+    (lambda x: np.exp(2.0 * x), -np.inf, 0.0, {}, 1e-10),
+    # unhinted singular end, classified by the numeric fit
+    (lambda x: x**-0.3, 0.0, 1.0, {"singular_lower": True}, 1e-8),
+    # empty range
+    (lambda x: x, 1.0, 1.0, {}, 1e-10),
+]
+
+
+class TestIntegrateBatch:
+    def _batch(self, rows, **kw):
+        hints = {key: [row[3].get(key) for row in rows]
+                 for key in ("exponent_lower", "exponent_upper")}
+        flags = {key: [row[3].get(key, False) for row in rows]
+                 for key in ("singular_lower", "singular_upper")}
+        return integrate_batch(_dispatch([row[0] for row in rows]),
+                               [row[1] for row in rows], [row[2] for row in rows],
+                               tol=[row[4] for row in rows], **hints, **flags, **kw)
+
+    def test_members_match_batch_of_one(self):
+        results = self._batch(MIXED)
+        for (fn, lo, hi, hints, tol), r in zip(MIXED, results):
+            if not lo < hi:
+                assert (r.value, r.abs_error_estimate, r.evaluations) == (0.0, 0.0, 0)
+                continue
+            alone = integrate(Integrand(fn, lo, hi, **hints), tol=tol)
+            assert not r.diverged and not alone.diverged
+            assert r.value == pytest.approx(alone.value, abs=max(tol, tol * abs(alone.value)))
+        assert results[1].value == pytest.approx(2.0 + 2.0 / 3.0, rel=1e-9)
+        assert results[2].value == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert results[3].value == pytest.approx(0.5, rel=1e-10)
+        assert results[4].value == pytest.approx(1.0 / 0.7, rel=1e-8)
+
+    def test_divergent_member_is_its_own(self):
+        rows = MIXED[:2] + [(lambda x: x**-1.2, 0.0, 1.0, {"exponent_lower": -1.2}, 1e-10)]
+        results = self._batch(rows)
+        assert results[2].diverged and results[2].value == math.inf
+        assert not results[0].diverged and not results[1].diverged
+
+    def test_non_finite_member_raises(self):
+        rows = [MIXED[0], (lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, {}, 1e-10)]
+        with pytest.raises(EvaluationError):
+            self._batch(rows)
+
+    def test_member_over_budget_raises(self):
+        oscillating = (lambda x: np.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, np.inf, {}, 1e-13)
+        with pytest.raises(EvaluationBudgetError):
+            self._batch([MIXED[0], oscillating], budget=500)
+
+    def test_first_failing_member_raises(self):
+        # As a loop over the members would: member 1 fails before member 2.
+        rows = [MIXED[0], (lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, {}, 1e-10),
+                (lambda x: np.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, np.inf, {}, 1e-13)]
+        with pytest.raises(EvaluationError):
+            self._batch(rows, budget=500)
+
+    def test_breakpoints_cut_every_kind_of_member(self):
+        # One jump per member: finite, mapped onto (0, 1) and reflected.
+        # Rows are NaN-padded; the 5.0 lies outside its member and is unused.
+        rows = [(lambda x: x * np.where(x < 1.0, 1.0, 2.0), 0.34, 3.0, {}, 1e-10),
+                (lambda x: np.exp(-x) * np.where(x < 1.0, 1.0, 2.0), 0.0, np.inf, {}, 1e-10),
+                (lambda x: np.exp(x) * np.where(x < -1.0, 2.0, 1.0), -np.inf, 0.0, {}, 1e-10)]
+        cut = self._batch(rows, breakpoints=[[1.0, np.nan], [1.0, np.nan], [-1.0, 5.0]])
+        uncut = self._batch(rows)
+        exact = [(1.0 - 0.34**2) / 2.0 + 8.0, 1.0 + math.exp(-1.0), 1.0 + math.exp(-1.0)]
+        for r, u, want in zip(cut, uncut, exact):
+            assert r.value == pytest.approx(want, rel=1e-12)
+            assert r.evaluations < u.evaluations
+
+    def test_divergent_inner_member_fails_the_outer_integral(self):
+        # Every inner integral diverges at x = 0, so the outer integrand is
+        # not finite.
+        with pytest.raises(EvaluationError, match="non-finite"):
+            iterated_integral(lambda x, y: x**-1.2 * y, lambda y: (0.0, 1.0), 0.0, 1.0,
+                              inner_exponents=(-1.2, None))
 
 
 class TestDifferentiate:
