@@ -9,6 +9,11 @@ Families: exponential(rate), uniform(a, b), gamma(alpha, beta) with beta
 the scale, beta(alpha, beta), piecewise(weights) with unit-width cells on
 [0, n), pareto(shape, scale) with hazard shape/t, and tabulated densities
 given as an (x, f) grid, linearly interpolated and renormalized.
+
+The gamma and beta cdf, sf and quantile are scipy's regularized incomplete
+gamma and beta functions.  ``scipy.special`` is imported on the first such
+evaluation, not with this module: building a member, its pdf and its
+closed forms never load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ValidationError",
@@ -57,6 +61,14 @@ def beta3(a: float, b: float, c: float) -> float:
     """Three-parameter complete beta function G(a)G(b)G(c)/G(a+b+c)."""
     return math.exp(math.lgamma(a) + math.lgamma(b) + math.lgamma(c)
                     - math.lgamma(a + b + c))
+
+
+def _special():
+    """``scipy.special``, imported on the first gamma or beta cdf, sf or
+    quantile evaluation so that a process that never makes one does not
+    load scipy."""
+    import scipy.special
+    return scipy.special
 
 
 # -- catalog type ------------------------------------------------------------
@@ -240,15 +252,15 @@ def gamma_dist(alpha: float, beta: float) -> UnivariateDistribution:
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return special.gammainc(al, np.maximum(x, 0.0) / sc)
+        return _special().gammainc(al, np.maximum(x, 0.0) / sc)
 
     def sf(x):
         x = np.asarray(x, dtype=float)
-        return special.gammaincc(al, np.maximum(x, 0.0) / sc)
+        return _special().gammaincc(al, np.maximum(x, 0.0) / sc)
 
     def quantile(p):
         hi = sc * (al + 1.0)
-        while float(special.gammainc(al, hi / sc)) < 1.0 - 1e-15:
+        while float(_special().gammainc(al, hi / sc)) < 1.0 - 1e-15:
             hi *= 2.0
         return _quantile_by_bisection(cdf, 0.0, hi, p)
 
@@ -279,11 +291,11 @@ def beta_dist(alpha: float, beta: float) -> UnivariateDistribution:
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return special.betainc(al, be, np.clip(x, 0.0, 1.0))
+        return _special().betainc(al, be, np.clip(x, 0.0, 1.0))
 
     def sf(x):
         x = np.asarray(x, dtype=float)
-        return special.betainc(be, al, np.clip(1.0 - x, 0.0, 1.0))
+        return _special().betainc(be, al, np.clip(1.0 - x, 0.0, 1.0))
 
     def quantile(p):
         return _quantile_by_bisection(cdf, 0.0, 1.0, p)

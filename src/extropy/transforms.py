@@ -263,6 +263,20 @@ def pushforward_distribution(dist, tr: MonotoneTransform) -> UnivariateDistribut
     y_lo, y_hi = float(np.min(images)), float(np.max(images))
     increasing = tr.direction == "increasing"
 
+    def carried(x0: float, p: float | None) -> float | None:
+        # Near a finite edge where phi' is finite and non-zero, y - phi(x0)
+        # is proportional to x - x0, so f_Y keeps the local power of f_X.
+        if p is None or not math.isfinite(x0):
+            return None
+        with np.errstate(all="ignore"):
+            d = float(tr.phi_derivative(np.asarray(x0, dtype=float)))
+        return p if math.isfinite(d) and d != 0.0 else None
+
+    edge_exponents = (carried(lo, dist.pdf_edge_exponents[0]),
+                      carried(hi, dist.pdf_edge_exponents[1]))
+    if not increasing:
+        edge_exponents = edge_exponents[::-1]
+
     def pdf(y):
         y = np.asarray(y, dtype=float)
         inside = (y > y_lo) & (y < y_hi)
@@ -297,4 +311,5 @@ def pushforward_distribution(dist, tr: MonotoneTransform) -> UnivariateDistribut
         family="pushforward",
         params={"base": dist.label, "transform": tr.label or "custom"},
         support=(y_lo, y_hi), pdf=pdf, cdf=cdf, sf=sf, quantile=quantile,
+        pdf_edge_exponents=edge_exponents,
         breakpoints=tuple(np.sort(tr.phi(np.asarray(dist.breakpoints, dtype=float))).tolist()))

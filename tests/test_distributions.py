@@ -1,13 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+import extropy
 from extropy import MEASURE_IDS
 from extropy.distributions import (
     ValidationError,
+    _quantile_by_bisection,
     beta2,
     beta3,
     beta_dist,
@@ -229,3 +238,59 @@ def test_piecewise_any_weights_normalize(ws):
     assert float(d.cdf(np.asarray(float(len(c))))) == pytest.approx(1.0, abs=1e-12)
     q = d.quantile(np.asarray([0.25, 0.5, 0.75]))
     np.testing.assert_allclose(d.cdf(q), [0.25, 0.5, 0.75], atol=1e-9)
+
+
+class TestScipyBoundary:
+    """scipy serves only the gamma and beta cdf, sf and quantile, and is
+    imported on the first of those evaluations."""
+
+    def test_start_up_does_not_load_scipy(self):
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import extropy, extropy.cli
+            from extropy.distributions import beta_dist, gamma_dist
+            from extropy.measures import weighted_extropy
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = extropy.cli.main([
+                    "measure", "--dist", '{"family":"exponential","params":{"rate":1}}',
+                    "--measure", "weighted_extropy,extropy"])
+            weighted_extropy(gamma_dist(2.0, 1.0))
+            weighted_extropy(beta_dist(2.0, 1.5))
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            gamma_dist(2.0, 1.0).cdf(1.0)
+            print(json.dumps({"code": code, "loaded": loaded,
+                              "special": "scipy.special" in sys.modules}))
+            """)
+        src = str(Path(extropy.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"code": 0, "loaded": [], "special": True}
+
+    @pytest.mark.parametrize("al, sc", [(0.3, 1.0), (2.0, 3.0), (17.5, 0.02)])
+    def test_gamma_is_scipy_bit_for_bit(self, al, sc):
+        d = gamma_dist(al, sc)
+        # deep sf tails included: x/sc up to 700, where sf is ~1e-300
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 60)]) * sc
+        assert np.array_equal(d.cdf(x), special.gammainc(al, x / sc))
+        assert np.array_equal(d.sf(x), special.gammaincc(al, x / sc))
+        hi = sc * (al + 1.0)
+        while float(special.gammainc(al, hi / sc)) < 1.0 - 1e-15:
+            hi *= 2.0
+        p = np.linspace(0.0, 1.0, 41)
+        assert np.array_equal(d.quantile(p), _quantile_by_bisection(
+            lambda m: special.gammainc(al, np.maximum(m, 0.0) / sc), 0.0, hi, p))
+
+    @pytest.mark.parametrize("al, be", [(0.5, 0.5), (4.04927, 0.712109), (30.0, 2.0)])
+    def test_beta_is_scipy_bit_for_bit(self, al, be):
+        d = beta_dist(al, be)
+        edge = np.geomspace(1e-15, 0.5, 30)
+        x = np.concatenate([[0.0], edge, 1.0 - edge[::-1], [1.0]])
+        assert np.array_equal(d.cdf(x), special.betainc(al, be, x))
+        assert np.array_equal(d.sf(x), special.betainc(be, al, 1.0 - x))
+        p = np.linspace(0.0, 1.0, 41)
+        assert np.array_equal(d.quantile(p), _quantile_by_bisection(
+            lambda m: special.betainc(al, be, np.clip(m, 0.0, 1.0)), 0.0, 1.0, p))
+

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +431,33 @@ def test_piecewise_permutations_share_extropy(perm):
     if tuple(perm) != (0.1, 0.2, 0.3, 0.4):
         assert weighted_extropy(other).value != pytest.approx(
             weighted_extropy(base).value, abs=1e-12)
+
+
+ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("measure_id", ["residual_extropy", "weighted_residual_extropy"])
+def test_beta_upper_edge_ladder_meets_the_oracle(oracle, measure_id):
+    """The upper-edge ladder of beta(4.04927, 0.712109) works near its
+    rounding floor on (t, 1): a small change to the Kronrod node formula
+    once made it raise 'tolerance unreachable' on this grid.  Matches the
+    benchmark oracle (mpmath, 30 digits), loaded by path."""
+    ref = oracle.Beta(4.04927, 0.712109)
+    d = beta_dist(4.04927, 0.712109)
+    grid = [0.3, 0.33469996328688567, 0.3734135514141421, 0.4166050064971299,
+            0.46479226793240724, 0.5185531833766834, 0.5785324381282455,
+            0.6454492860059875, 0.720106174432502, 0.8033983671507272,
+            0.8963246799669743, 0.9999994582602529]
+    for t in grid:
+        want = float(oracle.measure(ref, measure_id, t))
+        got = compute_measure(d, measure_id, t, force_quadrature=True).value
+        # the benchmark's rule: 1e-8, absolute or relative, whichever is larger
+        assert got == pytest.approx(want, abs=oracle.MEASURE_TOL * max(1.0, abs(want))), t

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from extropy.distributions import ValidationError, exponential, uniform
+from extropy.distributions import ValidationError, beta_dist, exponential, uniform
 from extropy.measures import DomainError, extropy, weighted_extropy, \
     weighted_residual_extropy
 from extropy.transforms import (
@@ -90,6 +90,31 @@ class TestPushforwardConsistency:
         direct = weighted_extropy(pushforward_distribution(d, tr),
                                   force_quadrature=True)
         assert xdom.value == pytest.approx(direct.value, abs=1e-7)
+
+    def test_singular_edges_carry_over(self):
+        # beta(0.707267, 0.821152) has both edges singular; an affine map
+        # keeps those powers.  Without them the engine treated the edges as
+        # regular and missed both values by more than 1e-8.  The exact
+        # values are the linear rules, checked against mpmath at 30 digits.
+        d = beta_dist(0.707267, 0.821152)
+        pf = pushforward_distribution(d, affine_transform(1.48523, 0.514325))
+        assert pf.pdf_edge_exponents == pytest.approx((-0.292733, -0.178848))
+        jw = weighted_extropy(pf, force_quadrature=True)
+        j = extropy(pf, force_quadrature=True)
+        assert jw.value == pytest.approx(-0.4161029995778951, abs=1e-12)
+        assert j.value == pytest.approx(-0.3793474823882415, abs=1e-12)
+
+    @pytest.mark.parametrize("base, tr, want", [
+        # phi'(0) = 0: the power changes, so it is not carried
+        (beta_dist(0.7, 0.8), square_transform(), (None, -0.2)),
+        # a finite edge keeps its power, a tail does not
+        (exponential(1.0), exp_transform(), (0.0, None)),
+        # a decreasing phi swaps the edges
+        (beta_dist(0.7, 0.8), decreasing_reciprocal(), (-0.2, -0.3)),
+    ])
+    def test_edge_exponents_where_phi_prime_is_regular(self, base, tr, want):
+        assert pushforward_distribution(base, tr).pdf_edge_exponents == \
+            pytest.approx(want)
 
     def test_pushforward_support_orientation(self):
         pf = pushforward_distribution(exponential(1.0), decreasing_reciprocal())
