@@ -26,6 +26,7 @@ from .bivariate import TOL_2D, independence_factorization_check, iterated_integr
 from .distributions import UnivariateDistribution, ValidationError, exponential
 from .measures import (
     DerivativeComparison,
+    _batched_measures,
     decomposition_check,
     dynamic_survival_extropy,
     weighted_extropy,
@@ -459,8 +460,8 @@ def constancy_explorer(family, t_grid) -> ConstancyReport:
 
     ``family`` is either a pareto catalog member (hazard shape/t, expected
     constant at -shape/4) or a :class:`ConstancyODEFamily` (restricted to
-    its positivity window).  Reports the spread max - min; nothing is
-    asserted.
+    its positivity window).  The whole grid is one batch of quadratures.
+    Reports the spread max - min; nothing is asserted.
     """
     grid = tuple(float(t) for t in t_grid)
     if isinstance(family, ConstancyODEFamily):
@@ -485,8 +486,11 @@ def constancy_explorer(family, t_grid) -> ConstancyReport:
     else:
         raise ValidationError(
             "constancy_explorer accepts a pareto member or a ConstancyODEFamily")
-    values = tuple(
-        weighted_residual_extropy(dist, t, force_quadrature=True).value for t in grid)
+    measured, error = _batched_measures(
+        dist, [("weighted_residual_extropy", t) for t in grid])
+    if error is not None:
+        raise error
+    values = tuple(mv.value for mv in measured)
     spread = max(values) - min(values)
     max_dev = None if reference is None else max(abs(v - reference) for v in values)
     return ConstancyReport(dist.label, grid, values, spread, reference, max_dev, notes)

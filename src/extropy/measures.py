@@ -21,6 +21,14 @@ integrand g (f^2, x f^2 or sf^2); ``MEASURE_IDS`` and
 ``T_INDEXED_MEASURES`` derive from it.  Closed forms from the catalog are
 used when available; every identifier honours ``force_quadrature=True``,
 which forces the numeric path.  All finite values are non-positive.
+
+A public measure is one quadrature.  Where a caller already knows several
+integrals of one integrand g that differ only in range and normaliser, they
+run as one engine batch (``_batched_measures``): the 20 points of a Ridders
+stencil together with Jw at t, the three sides of the decomposition, and
+the grid of ``claims.constancy_explorer``.  Each gives the public measure's
+value bit for bit, and the batch fails at the point where a loop over the
+public measures would.  Curves still take one call per t.
 """
 
 from __future__ import annotations
@@ -36,7 +44,14 @@ from .distributions import (
     ValidationError,
     closed_form,
 )
-from .quadrature import DEFAULT_TOL, Integrand, differentiate, integrate
+from .quadrature import (
+    DEFAULT_TOL,
+    Integrand,
+    _integrate_leading,
+    _rows,
+    differentiate,
+    integrate,
+)
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
@@ -218,6 +233,57 @@ def _measure(measure_id: str, dist, t: float | None, force_quadrature: bool,
     return _scaled_integral(integrand(dist, lo, hi), norm, tol)
 
 
+def _batched_measures(dist, points) -> tuple[list[MeasureValue], Exception | None]:
+    """Quadrature values of several measures of ``dist`` that share one
+    integrand g, in one engine call.
+
+    ``points`` are (measure id, t) pairs whose ids share g in ``_MEASURES``.
+    g is the same function of x at every point, so one evaluator serves
+    every member of the batch; only the range, the normaliser and the edge
+    hints differ.  Each member takes its range and normaliser from the
+    :class:`ConditionalLifetime` of its point (the support and 1 for a
+    whole-support measure), and g's hint at each support edge its range
+    reaches, as the table's builders give them.  Returns the values that ``_measure(..., force_quadrature=True)`` returns
+    at the points before the first one at which it raises, and that error
+    (None when no point fails); no point after it is integrated.
+    """
+    bounds, norms, error = [], [], None
+    for measure_id, t in points:
+        mode = _MEASURES[measure_id][0]
+        if mode is None:
+            bounds.append(dist.support)
+            norms.append(1.0)
+            continue
+        try:
+            cl = ConditionalLifetime(dist, mode, t)
+        except DomainError as exc:
+            error = exc
+            break
+        bounds.append(cl.bounds)
+        norms.append(cl.norm)
+    if not bounds:
+        return [], error
+    sup_lo, sup_hi = dist.support
+    g = _MEASURES[points[0][0]][1](dist, sup_lo, sup_hi)
+    lower, upper = np.array(bounds).T
+    e_lo, e_hi = (math.nan if e is None else e for e in (g.exponent_lower, g.exponent_upper))
+    results, engine_error = _integrate_leading(
+        _rows(g.fn), lower, upper, exponent_lower=np.where(lower == sup_lo, e_lo, math.nan),
+        exponent_upper=np.where(upper == sup_hi, e_hi, math.nan), breakpoints=[g.breakpoints])
+    values = []
+    for r, lo, hi, norm in zip(results, lower.tolist(), upper.tolist(), norms):
+        # As _measure and _scaled_integral.
+        if not lo < hi:
+            values.append(MeasureValue(0.0, "quadrature", 0.0))
+        elif r.diverged:
+            values.append(MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
+                                       math.inf, diverged=True))
+        else:
+            k = 0.5 / norm**2
+            values.append(MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate))
+    return values, engine_error or error
+
+
 def extropy(dist: UnivariateDistribution, *, force_quadrature: bool = False,
             tol: float = DEFAULT_TOL) -> MeasureValue:
     return _measure("extropy", dist, None, force_quadrature, tol)
@@ -290,13 +356,21 @@ def _fd_scale(dist, t: float, mode: str) -> float:
 
 def _weighted_derivative(dist, t: float, mode: str) -> DerivativeComparison:
     """d/dt of Jw(X_t) (mode "residual") or Jw(tX) (mode "past"): finite
-    difference vs the two candidate identities."""
-    # Looked up at call time, so a rebound module attribute sees every
-    # stencil evaluation.
-    measure = weighted_residual_extropy if mode == "residual" else weighted_past_extropy
-    num = differentiate(lambda u: measure(dist, u, force_quadrature=True).value,
-                        t, _fd_scale(dist, t, mode))
-    jw = measure(dist, t, force_quadrature=True).value
+    difference vs the two candidate identities.  The Ridders stencil and
+    Jw at t, last, are one batch."""
+    measure_id = f"weighted_{mode}_extropy"
+    at_t = []
+
+    def stencil(u):
+        values, error = _batched_measures(dist, [(measure_id, s) for s in [*u.tolist(), t]])
+        at_t.extend(mv.value for mv in values[u.size:])
+        return [mv.value for mv in values[:u.size]], error
+
+    num = differentiate(stencil, t, _fd_scale(dist, t, mode))
+    # The batch stops at its first failure; a stencil point that failed in
+    # a row the tableau never read leaves Jw at t to be evaluated alone.
+    jw = at_t[0] if at_t else compute_measure(dist, measure_id, t,
+                                              force_quadrature=True).value
     if mode == "residual":
         r = float(dist.hazard(np.asarray(t)))
         claimed = (r / 2.0) * (jw + t * r)
@@ -321,7 +395,8 @@ def weighted_past_derivative(dist, t: float) -> DerivativeComparison:
 # -- decomposition identity --------------------------------------------------
 
 def decomposition_check(dist, t: float, tol: float = 1e-7) -> ClaimReport:
-    """Verify Jw(X) = F(t)^2 Jw(tX) + sf(t)^2 Jw(X_t), both sides by quadrature.
+    """Verify Jw(X) = F(t)^2 Jw(tX) + sf(t)^2 Jw(X_t), both sides by
+    quadrature, the three integrals in one batch.
 
     Gap convention: lhs - rhs; holds iff |gap| <= tol * max(1, |lhs|).
     """
@@ -331,9 +406,12 @@ def decomposition_check(dist, t: float, tol: float = 1e-7) -> ClaimReport:
         return ClaimReport("decomposition", math.nan, math.nan, math.nan,
                            INDETERMINATE, notes=f"F(t)={F:.3e}, sf(t)={S:.3e}: "
                            "0 < F(t) < 1 required")
-    lhs_mv = weighted_extropy(dist, force_quadrature=True)
-    past_mv = weighted_past_extropy(dist, t)
-    res_mv = weighted_residual_extropy(dist, t, force_quadrature=True)
+    values, error = _batched_measures(dist, [
+        ("weighted_extropy", None), ("weighted_past_extropy", t),
+        ("weighted_residual_extropy", t)])
+    if error is not None:
+        raise error
+    lhs_mv, past_mv, res_mv = values
     if lhs_mv.diverged or past_mv.diverged or res_mv.diverged:
         return ClaimReport("decomposition", lhs_mv.value, math.nan, math.nan,
                            INDETERMINATE, notes="a component diverged")

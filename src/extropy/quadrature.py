@@ -777,6 +777,23 @@ def integrate_batch(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_
     :func:`integrate` of that member alone would; the batch raises the
     error of its first failing member.
     """
+    results, error = _integrate_leading(
+        fn, lower, upper, tol=tol, budget=budget, exponent_lower=exponent_lower,
+        exponent_upper=exponent_upper, singular_lower=singular_lower,
+        singular_upper=singular_upper, breakpoints=breakpoints)
+    if error is not None:
+        raise error
+    return results
+
+
+def _integrate_leading(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
+                       exponent_lower=None, exponent_upper=None,
+                       singular_lower=False, singular_upper=False,
+                       breakpoints=()) -> tuple[list[QuadratureResult], QuadratureError | None]:
+    """:func:`integrate_batch`, returning its first failing member's error
+    instead of raising it, with the results of the members before that one
+    (the members after it are not finished).  The error is None when no
+    member fails."""
     lower = np.array(lower, dtype=float, ndmin=1)
     upper = np.array(upper, dtype=float, ndmin=1)
     if lower.shape != upper.shape:
@@ -792,12 +809,12 @@ def integrate_batch(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_
         run[batch.first_failure:] = False
         rounds = _Rounds(batch, run.nonzero()[0], tol)
         rounds.run()
-    if batch.error is not None:
-        raise batch.error
-    value = np.where(diverged, infinite, rounds.value)
-    error = np.where(diverged, math.inf, rounds.error)
+    f = batch.first_failure
+    value = np.where(diverged, infinite, rounds.value)[:f]
+    error = np.where(diverged, math.inf, rounds.error)[:f]
     return [QuadratureResult(*r) for r in zip(value.tolist(), error.tolist(),
-                                              batch.used.tolist(), diverged.tolist())]
+                                              batch.used[:f].tolist(),
+                                              diverged[:f].tolist())], batch.error
 
 
 def _rows(fn):
@@ -843,35 +860,48 @@ def integrate_fn(fn, lower: float, upper: float, *, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def differentiate(h: Callable[[float], float], t: float, scale: float) -> DerivativeResult:
+def differentiate(h: Callable[[np.ndarray], tuple], t: float,
+                  scale: float) -> DerivativeResult:
     """Central finite difference with Richardson extrapolation (Ridders).
 
     ``scale`` is the initial stencil half-width; it must keep ``t +/- scale``
-    inside the domain of ``h``.  The returned error estimate is the
-    extrapolation residual at the accepted table entry.
+    inside the domain of ``h``.  The tableau always has 10 rows, row i
+    with half-width ``scale / 1.4**i``, and the whole stencil is evaluated
+    in one call: ``h`` receives the 20 points t + s0, t - s0, t + s1,
+    t - s1, ... as a 1-d array and returns ``(values, error)``: the values
+    of the leading points, in that order, and the exception raised at the
+    first point it could not evaluate, or None when it evaluated them all.
+    For a numpy function f that cannot fail, ``h`` is
+    ``lambda u: (f(u), None)``.  The tableau is read row by row and stops
+    where the serial loop stops, so a failure in a row it never reads does
+    not raise and one in a row it reads raises ``error``.  The returned
+    error estimate is the extrapolation residual at the accepted table
+    entry; ``evaluations`` is 20.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     contract = 1.4
     ntab = 10
-    table = [[0.0] * ntab for _ in range(ntab)]
-    hh = scale
-    evals = 0
+    steps = [scale]
+    for _ in range(ntab - 1):
+        steps.append(steps[-1] / contract)
+    points = np.array([(t + step, t - step) for step in steps]).ravel()
+    values, error = h(points)
 
-    def fd(step):
-        nonlocal evals
-        evals += 2
-        up, dn = h(t + step), h(t - step)
+    def fd(i):
+        if len(values) < 2 * i + 2:
+            raise error
+        up, dn = float(values[2 * i]), float(values[2 * i + 1])
         if not (math.isfinite(up) and math.isfinite(dn)):
             raise EvaluationError(f"function non-finite inside stencil at t={t!r}")
-        return (up - dn) / (2.0 * step)
+        return (up - dn) / (2.0 * steps[i])
 
-    table[0][0] = fd(hh)
+    table = [[0.0] * ntab for _ in range(ntab)]
+    table[0][0] = fd(0)
     best = table[0][0]
     best_err = math.inf
     for i in range(1, ntab):
-        hh /= contract
-        table[i][0] = fd(hh)
+        table[i][0] = fd(i)
         fac = contract * contract
         for j in range(1, i + 1):
             table[i][j] = (table[i][j - 1] * fac - table[i - 1][j - 1]) / (fac - 1.0)
@@ -883,4 +913,4 @@ def differentiate(h: Callable[[float], float], t: float, scale: float) -> Deriva
                 best = table[i][j]
         if abs(table[i][i] - table[i - 1][i - 1]) >= 2.0 * best_err and i > 2:
             break
-    return DerivativeResult(best, best_err, evals)
+    return DerivativeResult(best, best_err, points.size)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extropy import measures as ms
 from extropy.distributions import (
     beta_dist,
     exponential,
@@ -36,7 +37,7 @@ from extropy.measures import (
     weighted_residual_derivative,
     weighted_residual_extropy,
 )
-from extropy.quadrature import Integrand, integrate
+from extropy.quadrature import EvaluationError, Integrand, integrate
 
 # frozen by an independent high-precision quadrature oracle:
 # -(1/4 - (3/4) e^-2) / (2 (1 - e^-1)^2)
@@ -316,6 +317,90 @@ class TestDerivativeIdentities:
             dc = weighted_past_derivative(dist, t)
             assert dc.corrected_formula == pytest.approx(dc.numeric, abs=1e-5), \
                 (dist.label, t)
+
+
+def _stencil_points(dist, t, mode):
+    """The 20 stencil points of the derivative at t, in serial order."""
+    steps = [ms._fd_scale(dist, t, mode)]
+    for _ in range(9):
+        steps.append(steps[-1] / 1.4)
+    return [x for s in steps for x in (t + s, t - s)]
+
+
+def _with_sf_zero_at(dist, point):
+    """``dist`` with sf(point) = 0: a tiny normaliser at that one point."""
+    base_sf = dist.sf
+    return dataclasses.replace(
+        dist, sf=lambda x: np.where(np.asarray(x) == point, 0.0, base_sf(x)))
+
+
+class TestBatchedStencil:
+    """The Ridders stencil and Jw at t run as one batch, which must give the
+    per-t public measures bit for bit and fail where the serial loop would."""
+
+    @pytest.mark.parametrize("side", ["residual", "past"])
+    @pytest.mark.parametrize("dist,t", [(gamma_dist(2.0, 1.0), 1.0),
+                                        (exponential(1.0), 0.5),
+                                        (pareto(2.0, 1.0), 2.0),
+                                        (beta_dist(2.0, 1.5), 0.4)])
+    def test_stencil_values_are_the_public_measures(self, monkeypatch, dist, t, side):
+        seen = []
+        real = ms.differentiate
+
+        def recording(h, t, scale):
+            def h_seen(u):
+                values, error = h(u)
+                seen.append((u.tolist(), values, error))
+                return values, error
+            return real(h_seen, t, scale)
+
+        monkeypatch.setattr(ms, "differentiate", recording)
+        dc = getattr(ms, f"weighted_{side}_derivative")(dist, t)
+        ((points, values, error),) = seen
+        assert error is None and points == _stencil_points(dist, t, side)
+        measure = getattr(ms, f"weighted_{side}_extropy")
+        assert values == [measure(dist, u, force_quadrature=True).value for u in points]
+        # Jw at t, last in the batch, enters the identities as the public value.
+        jw = measure(dist, t, force_quadrature=True).value
+        if side == "residual":
+            r = float(dist.hazard(np.asarray(t)))
+            assert dc.corrected_formula == 2.0 * r * jw + t * r * r / 2.0
+        else:
+            q = float(dist.reversed_hazard(np.asarray(t)))
+            assert dc.corrected_formula == -2.0 * q * jw - t * q * q / 2.0
+
+    def test_tiny_normaliser_past_the_break_row_does_not_raise(self):
+        # The serial loop reads rows 0-3 of exponential(1) at t = 0.5.
+        base = exponential(1.0)
+        points = _stencil_points(base, 0.5, "residual")
+        for bad in (points[12], points[19]):
+            dc = weighted_residual_derivative(_with_sf_zero_at(base, bad), 0.5)
+            assert dc == weighted_residual_derivative(base, 0.5)
+
+    def test_tiny_normaliser_in_a_reached_row_raises_as_the_measure(self):
+        base = exponential(1.0)
+        for bad in _stencil_points(base, 0.5, "residual")[:8:3]:
+            dist = _with_sf_zero_at(base, bad)
+            with pytest.raises(DomainError) as serial:
+                weighted_residual_extropy(dist, bad, force_quadrature=True)
+            with pytest.raises(DomainError) as batched:
+                weighted_residual_derivative(dist, 0.5)
+            assert str(batched.value) == str(serial.value)
+
+    def test_batch_error_is_the_first_failing_point(self):
+        # A density that is NaN above 2 fails every residual integral past
+        # it with the engine's error, and the batch stops at the first.
+        base = exponential(1.0)
+        dist = dataclasses.replace(
+            base, pdf=lambda x: np.where(np.asarray(x) > 2.0, math.nan, base.pdf(x)))
+        values, error = ms._batched_measures(
+            dist, [("weighted_past_extropy", 1.0), ("weighted_residual_extropy", 1.0),
+                   ("weighted_past_extropy", 1.5)])
+        assert values == [weighted_past_extropy(dist, 1.0)]
+        assert type(error) is EvaluationError
+        with pytest.raises(EvaluationError) as serial:
+            weighted_residual_extropy(dist, 1.0, force_quadrature=True)
+        assert str(error) == str(serial.value)
 
 
 class TestDecomposition:

@@ -242,18 +242,63 @@ class TestIntegrateBatch:
                               inner_exponents=(-1.2, None))
 
 
+def _serial_ridders(f, t, scale):
+    """The serial Ridders loop that :func:`differentiate` replaced: it
+    evaluates ``f`` pointwise, t + s then t - s, only for the rows it
+    reaches.  Returns (value, error estimate, last row reached)."""
+    contract, ntab = 1.4, 10
+    table = [[0.0] * ntab for _ in range(ntab)]
+    hh = scale
+
+    def fd(step):
+        up, dn = f(t + step), f(t - step)
+        if not (math.isfinite(up) and math.isfinite(dn)):
+            raise EvaluationError(f"function non-finite inside stencil at t={t!r}")
+        return (up - dn) / (2.0 * step)
+
+    table[0][0] = fd(hh)
+    best, best_err = table[0][0], math.inf
+    for i in range(1, ntab):
+        hh /= contract
+        table[i][0] = fd(hh)
+        fac = contract * contract
+        for j in range(1, i + 1):
+            table[i][j] = (table[i][j - 1] * fac - table[i - 1][j - 1]) / (fac - 1.0)
+            fac *= contract * contract
+            errt = max(abs(table[i][j] - table[i][j - 1]),
+                       abs(table[i][j] - table[i - 1][j - 1]))
+            if errt <= best_err:
+                best_err, best = errt, table[i][j]
+        if abs(table[i][i] - table[i - 1][i - 1]) >= 2.0 * best_err and i > 2:
+            break
+    return best, best_err, i
+
+
+def _leading(f, failing_index, error):
+    """A vectorised h that evaluates ``f`` pointwise up to the stencil point
+    ``failing_index`` and fails there with ``error``."""
+    def h(u):
+        return [f(x) for x in u.tolist()[:failing_index]], error
+    return h
+
+
+def _noisy(u):
+    # A smooth curve plus noise that makes the serial loop stop early.
+    return math.sin(u) + 1e-9 * math.sin(1e5 * u)
+
+
 class TestDifferentiate:
     def test_square(self):
-        d = differentiate(lambda t: t * t, 3.0, 0.1)
+        d = differentiate(lambda t: (t * t, None), 3.0, 0.1)
         assert d.value == pytest.approx(6.0, abs=1e-9)
         assert d.abs_error_estimate < 1e-7
 
     def test_linear_curve(self):
-        d = differentiate(lambda t: -t / 4.0 - 0.125, 1.0, 0.1)
+        d = differentiate(lambda t: (-t / 4.0 - 0.125, None), 1.0, 0.1)
         assert d.value == pytest.approx(-0.25, abs=1e-12)
 
     def test_constant(self):
-        d = differentiate(lambda t: -0.25, 2.0, 0.1)
+        d = differentiate(lambda t: (np.full_like(t, -0.25), None), 2.0, 0.1)
         assert d.value == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 1),
@@ -262,21 +307,91 @@ class TestDifferentiate:
         p = np.polynomial.Polynomial(coeffs)
         dp = p.deriv()
         t = 1.7
-        d = differentiate(lambda u: float(p(u)), t, 0.3)
+        d = differentiate(lambda u: (p(u), None), t, 0.3)
         assert d.value == pytest.approx(float(dp(t)), abs=1e-9)
 
     def test_failure_inside_stencil_propagates(self):
         def h(t):
-            if t > 1.05:
-                return math.nan
-            return t * t
+            return np.where(t > 1.05, math.nan, t * t), None
 
         with pytest.raises(EvaluationError):
             differentiate(h, 1.0, 0.2)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
-            differentiate(lambda t: t, 1.0, 0.0)
+            differentiate(lambda t: (t, None), 1.0, 0.0)
+
+    def test_whole_stencil_in_one_call_in_serial_order(self):
+        calls = []
+
+        def h(u):
+            calls.append(u)
+            return u * u, None
+
+        d = differentiate(h, 3.0, 0.1)
+        (u,) = calls
+        steps = [0.1]
+        for _ in range(9):
+            steps.append(steps[-1] / 1.4)
+        assert u.tolist() == [x for s in steps for x in (3.0 + s, 3.0 - s)]
+        assert d.evaluations == 20
+
+    @pytest.mark.parametrize("f, t, scale", [(_noisy, 1.0, 0.5), (lambda u: u * u, 3.0, 0.1),
+                                             (math.exp, 0.3, 0.2)])
+    def test_equals_the_serial_loop(self, f, t, scale):
+        value, err, _ = _serial_ridders(f, t, scale)
+        d = differentiate(_leading(f, 20, None), t, scale)
+        assert (d.value, d.abs_error_estimate) == (value, err)
+
+    def test_failure_past_the_break_row_does_not_raise(self):
+        value, err, last = _serial_ridders(_noisy, 1.0, 0.5)
+        assert last < 9
+        for failing in range(2 * last + 2, 20):
+            d = differentiate(_leading(_noisy, failing, EvaluationBudgetError("budget")),
+                              1.0, 0.5)
+            assert (d.value, d.abs_error_estimate) == (value, err)
+
+            def h(u, failing=failing):
+                values = [_noisy(x) for x in u.tolist()]
+                values[failing] = math.nan
+                return values, None
+
+            d = differentiate(h, 1.0, 0.5)
+            assert (d.value, d.abs_error_estimate) == (value, err)
+
+    def test_failure_in_a_reached_row_raises_that_error(self):
+        _, _, last = _serial_ridders(_noisy, 1.0, 0.5)
+        for failing in range(2 * last + 2):
+            error = DivergenceUndecidedError(f"point {failing} undecided")
+
+            def f(u, hit=iter(range(20))):
+                if next(hit) == failing:
+                    raise error
+                return _noisy(u)
+
+            with pytest.raises(DivergenceUndecidedError) as serial:
+                _serial_ridders(f, 1.0, 0.5)
+            with pytest.raises(DivergenceUndecidedError) as batched:
+                differentiate(_leading(_noisy, failing, error), 1.0, 0.5)
+            assert str(batched.value) == str(serial.value) == f"point {failing} undecided"
+
+    def test_non_finite_value_in_a_reached_row_raises_as_the_loop(self):
+        _, _, last = _serial_ridders(_noisy, 1.0, 0.5)
+        for bad in (0, 2 * last + 1):
+            def f(u, hit=iter(range(20)), bad=bad):
+                return math.inf if next(hit) == bad else _noisy(u)
+
+            with pytest.raises(EvaluationError) as serial:
+                _serial_ridders(f, 1.0, 0.5)
+
+            def h(u, bad=bad):
+                values = [_noisy(x) for x in u.tolist()]
+                values[bad] = math.inf
+                return values, None
+
+            with pytest.raises(EvaluationError) as batched:
+                differentiate(h, 1.0, 0.5)
+            assert str(batched.value) == str(serial.value)
 
 
 @st.composite
