@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bivariate import TOL_2D, independence_factorization_check, iterated_integral
-from .distributions import UnivariateDistribution, ValidationError, exponential
+from .distributions import UnivariateDistribution, ValidationError, closed_form, exponential
 from .measures import (
     DerivativeComparison,
     _batched_measures,
@@ -33,7 +33,6 @@ from .measures import (
     weighted_past_derivative,
     weighted_past_extropy,
     weighted_residual_derivative,
-    weighted_residual_extropy,
     extropy,
 )
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
@@ -100,8 +99,17 @@ def residual_bound_check(dist, t: float, tol: float = 1e-8) -> ClaimReport:
                            INDETERMINATE,
                            notes="precondition unverified: hazard not "
                                  f"non-decreasing on [{t}, {hi:.4g}]")
-    lhs_mv = weighted_residual_extropy(dist, t, force_quadrature=True)
-    js = dynamic_survival_extropy(dist, t)
+    # Jw(X_t) by quadrature and Js(X_t) in one engine call, as the two
+    # public measures would give them (Js by its closed form if it has one).
+    js_by_quadrature = closed_form(dist, "dynamic_survival_extropy", t=t) is None
+    points = [("weighted_residual_extropy", t)]
+    if js_by_quadrature:
+        points.append(("dynamic_survival_extropy", t))
+    values, error = _batched_measures(dist, points)
+    if error is not None:
+        raise error
+    lhs_mv = values[0]
+    js = values[1] if js_by_quadrature else dynamic_survival_extropy(dist, t)
     if lhs_mv.diverged or js.diverged:
         return ClaimReport("residual_bound", lhs_mv.value, math.nan, math.nan,
                            INDETERMINATE, notes="a side diverged")

@@ -23,12 +23,13 @@ used when available; every identifier honours ``force_quadrature=True``,
 which forces the numeric path.  All finite values are non-positive.
 
 A public measure is one quadrature.  Where a caller already knows several
-integrals of one integrand g that differ only in range and normaliser, they
+integrals, which differ in range, normaliser and possibly integrand, they
 run as one engine batch (``_batched_measures``): the 20 points of a Ridders
-stencil together with Jw at t, the three sides of the decomposition, and
-the grid of ``claims.constancy_explorer``.  Each gives the public measure's
-value bit for bit, and the batch fails at the point where a loop over the
-public measures would.  Curves still take one call per t.
+stencil together with Jw at t, the three sides of the decomposition, the
+grid of ``claims.constancy_explorer``, and Jw(X_t) with Js(X_t) in
+``claims.residual_bound_check``.  Each gives the public measure's value bit
+for bit, and the batch fails at the point where a loop over the public
+measures would.  Curves still take one call per t.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .quadrature import (
     DEFAULT_TOL,
     Integrand,
     _integrate_leading,
-    _rows,
     differentiate,
     integrate,
 )
@@ -234,18 +234,18 @@ def _measure(measure_id: str, dist, t: float | None, force_quadrature: bool,
 
 
 def _batched_measures(dist, points) -> tuple[list[MeasureValue], Exception | None]:
-    """Quadrature values of several measures of ``dist`` that share one
-    integrand g, in one engine call.
+    """Quadrature values of several measures of ``dist`` in one engine call.
 
-    ``points`` are (measure id, t) pairs whose ids share g in ``_MEASURES``.
-    g is the same function of x at every point, so one evaluator serves
-    every member of the batch; only the range, the normaliser and the edge
-    hints differ.  Each member takes its range and normaliser from the
-    :class:`ConditionalLifetime` of its point (the support and 1 for a
-    whole-support measure), and g's hint at each support edge its range
-    reaches, as the table's builders give them.  Returns the values that ``_measure(..., force_quadrature=True)`` returns
-    at the points before the first one at which it raises, and that error
-    (None when no point fails); no point after it is integrated.
+    ``points`` are (measure id, t) pairs.  Each member takes its range and
+    normaliser from the :class:`ConditionalLifetime` of its point (the
+    support and 1 for a whole-support measure), and its integrand g from
+    the table, with g's hint at each support edge its range reaches, as the
+    table's integrand functions give them.  The evaluator hands each
+    integrand the rows of its own members, so a point's g sees the same
+    points as in its own engine call.  Returns the values that
+    ``_measure(..., force_quadrature=True)`` returns at the points before
+    the first one at which it raises, and that error (None when no point
+    fails); no point after it is integrated.
     """
     bounds, norms, error = [], [], None
     for measure_id, t in points:
@@ -264,12 +264,29 @@ def _batched_measures(dist, points) -> tuple[list[MeasureValue], Exception | Non
     if not bounds:
         return [], error
     sup_lo, sup_hi = dist.support
-    g = _MEASURES[points[0][0]][1](dist, sup_lo, sup_hi)
+    makers = [_MEASURES[measure_id][1] for measure_id, _ in points[:len(bounds)]]
+    kinds = list(dict.fromkeys(makers))
+    gs = [make(dist, sup_lo, sup_hi) for make in kinds]
+    which = np.array([kinds.index(make) for make in makers])
+    hints = np.array([[math.nan if e is None else e for e in (g.exponent_lower, g.exponent_upper)]
+                      for g in gs])[which]
+    fns = [g.fn for g in gs]
+
+    def evaluate(x, rows):
+        y = np.empty_like(x)
+        kind = which[rows]
+        for j, fn in enumerate(fns):
+            mine = kind == j
+            if np.count_nonzero(mine):
+                y[mine] = np.reshape(fn(x[mine].ravel()), (-1, x.shape[1]))
+        return y
+
     lower, upper = np.array(bounds).T
-    e_lo, e_hi = (math.nan if e is None else e for e in (g.exponent_lower, g.exponent_upper))
     results, engine_error = _integrate_leading(
-        _rows(g.fn), lower, upper, exponent_lower=np.where(lower == sup_lo, e_lo, math.nan),
-        exponent_upper=np.where(upper == sup_hi, e_hi, math.nan), breakpoints=[g.breakpoints])
+        evaluate, lower, upper,
+        exponent_lower=np.where(lower == sup_lo, hints[:, 0], math.nan),
+        exponent_upper=np.where(upper == sup_hi, hints[:, 1], math.nan),
+        breakpoints=[gs[j].breakpoints for j in which])
     values = []
     for r, lo, hi, norm in zip(results, lower.tolist(), upper.tolist(), norms):
         # As _measure and _scaled_integral.

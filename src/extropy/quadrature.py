@@ -33,6 +33,15 @@ divergence, the noise floor, the tolerance, the evaluation budget and the
 error raised.  A cap on the points per evaluator call bounds memory
 however large a batch is.
 
+The bookkeeping of a call and of a round is a fixed set of whole-batch
+array operations, the same for one member as for thousands.  Panels live
+in one store, in the order they were made; a split or frozen panel is
+retired in place, so each member's total and error are one ``bincount``
+over the store in that order (see :class:`_Rounds`).  Steps with nothing
+to do are skipped: cutting at breakpoints when there are none,
+classification when no end is singular, divergence when no end is
+divergent, and the unreachable-tolerance check while no error is frozen.
+
 An :class:`Integrand`'s evaluator receives a 1-d float ndarray and returns
 an ndarray of the same shape; a batch evaluator receives the (k, n) array
 of points and the member of each row (see :func:`integrate_batch`).
@@ -212,9 +221,6 @@ _LADDER_MAX = 40
 # Rungs per ladder and round.  The ladder first consults its tail model at
 # the sixth, so the first round takes six.
 _RUNGS = 6
-# Column offsets of a ladder's last four values (after its four leading
-# zeros).
-_LAST4 = np.arange(4)
 _BLOCK = np.arange(_RUNGS)
 _EDGES = np.arange(_RUNGS + 1)
 # 2**-j: the distance of the far end of rung j from its endpoint, in units
@@ -233,7 +239,9 @@ _PROBE = np.logspace(-1.0, -3.0, 5)
 _GRADED = np.array([0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0])
 _QUARTERS = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0])
 _PARTITIONS = np.array([_QUARTERS, _GRADED])
-_NO_PANELS = np.zeros((6, 0))
+_NO_BOUNDS = np.zeros(0)
+# Rows of the panel store (see _Rounds).
+_VALUE, _ERROR, _LIVE = 4, 5, 6
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ class _Batch:
     an endpoint with a negative hint.  Members with ``not lower < upper``
     are empty: they integrate to 0 without an evaluation.  ``cuts`` holds
     each member's breakpoints inside its interval, mapped with it (NaN
-    pads).
+    pads), or is None when no member has any.
 
     Every member has its own evaluation budget.  A member that fails stops
     every member after it, and the batch raises the error of its first
@@ -262,24 +270,30 @@ class _Batch:
                  singular_lower, singular_upper, breakpoints=()):
         size = lower.size
         self.fn, self.size, self.budget = fn, size, budget
-        self.empty = ~(lower < upper)
-        cuts = np.array(breakpoints, dtype=float, ndmin=2)
-        cuts = np.broadcast_to(cuts, (size, cuts.shape[1]))
-        cuts = np.where((lower[:, None] < cuts) & (cuts < upper[:, None]), cuts, np.nan)
+        self.empty = empty = ~(lower < upper)
+        any_empty = np.count_nonzero(empty)
         exponent = np.empty((size, 2))
         exponent[:, 0] = exponent_lower  # None -> NaN
         exponent[:, 1] = exponent_upper
         singular = np.empty((size, 2), dtype=bool)
         singular[:, 0] = singular_lower
         singular[:, 1] = singular_upper
-        self.transformed = np.count_nonzero(np.isfinite(lower + upper)) < size
+        cuts = np.array(breakpoints, dtype=float, ndmin=2)
+        if cuts.size:
+            cuts = np.where((lower[:, None] < cuts) & (cuts < upper[:, None]), cuts, np.nan)
+        else:
+            cuts = None
+        ends = lower + upper
+        self.transformed = np.count_nonzero(np.isfinite(ends)) < size
         if self.transformed:
-            if np.count_nonzero(np.isnan(lower) | np.isnan(upper)):
+            # A NaN bound makes its sum NaN (and so does -inf + inf).
+            if np.count_nonzero(np.isnan(ends)) and np.count_nonzero(
+                    np.isnan(lower) | np.isnan(upper)):
                 raise ValueError("integration bounds must not be NaN")
-            if np.count_nonzero(self.empty):
-                lower = np.where(self.empty, 0.0, lower)
-                upper = np.where(self.empty, 0.0, upper)
-            reflect = np.isneginf(lower)
+            if any_empty:
+                lower = np.where(empty, 0.0, lower)
+                upper = np.where(empty, 0.0, upper)
+            reflect = lower == -np.inf
             self.reflected = np.count_nonzero(reflect) > 0
             if self.reflected:
                 lower, upper = np.where(reflect, -upper, lower), np.where(reflect, -lower, upper)
@@ -288,22 +302,30 @@ class _Batch:
                         "doubly-infinite integrands must be split at a finite point")
                 exponent = np.where(reflect[:, None], exponent[:, ::-1], exponent)
                 singular = np.where(reflect[:, None], singular[:, ::-1], singular)
-                cuts = np.where(reflect[:, None], -cuts, cuts)
-            mapped = np.isposinf(upper)
-            x = cuts - lower[:, None]
-            cuts = np.where(mapped[:, None], x / (1.0 + x), cuts)
-            exponent[:, 1] = np.where(mapped, -(2.0 + exponent[:, 1]), exponent[:, 1])
+                if cuts is not None:
+                    cuts = np.where(reflect[:, None], -cuts, cuts)
+            mapped = upper == np.inf
+            if cuts is not None:
+                x = cuts - lower[:, None]
+                cuts = np.where(mapped[:, None], x / (1.0 + x), cuts)
+            np.copyto(exponent[:, 1], -(2.0 + exponent[:, 1]), where=mapped)
             singular[:, 1] |= mapped
-            self.reflect, self.mapped, self.origin = reflect, mapped, lower
+            # Per member: 1 where mapped (else 0), the origin a of the map
+            # (else 0: every bound is finite here) and -1 where reflected
+            # (else 1), so that one expression serves every member (see
+            # _evaluate).
+            self.affine = np.array([mapped, lower * mapped, 1.0 - 2.0 * reflect]).T
             lower, upper = np.where(mapped, 0.0, lower), np.where(mapped, 1.0, upper)
         self.lower, self.upper, self.cuts = lower, upper, cuts
         # Per member and side (lower, upper); NaN is no hint.
         self.exponent = exponent
         singular |= exponent < 0.0
-        if np.count_nonzero(self.empty):
-            singular &= ~self.empty[:, None]
+        if any_empty:
+            singular &= ~empty[:, None]
         self.singular = singular
+        self.any_singular = np.count_nonzero(singular) > 0
         self.used = np.zeros(size, dtype=np.int64)
+        self.spent = 0
         self.first_failure = size
         self.error: QuadratureError | None = None
 
@@ -326,14 +348,19 @@ class _Batch:
         and after a failure are evaluated with the rest of the call, and
         dropped with their members after it.
         """
-        self.used += np.bincount(rows, minlength=self.size) * u.shape[1]
-        over = self.used > self.budget
-        if np.count_nonzero(over):
-            self.fail(over.argmax(), EvaluationBudgetError(
-                f"evaluation budget of {self.budget} points exhausted"))
-        step = max(1, _MAX_POINTS // u.shape[1])
-        y = np.concatenate([self._evaluate(u[s:s + step], rows[s:s + step])
-                            for s in range(0, rows.size, step)])
+        n = u.shape[1]
+        np.add.at(self.used, rows, n)
+        # No member has used more points than all of them together.
+        self.spent += rows.size * n
+        if self.spent > self.budget:
+            over = self.used > self.budget
+            if np.count_nonzero(over):
+                self.fail(over.argmax(), EvaluationBudgetError(
+                    f"evaluation budget of {self.budget} points exhausted"))
+        step = max(1, _MAX_POINTS // n)
+        chunks = [self._evaluate(u[s:s + step], rows[s:s + step])
+                  for s in range(0, rows.size, step)]
+        y = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         finite = np.isfinite(y)
         if np.count_nonzero(finite) < y.size:
             bad = (~finite.all(axis=1) & (rows < self.first_failure)).nonzero()[0]
@@ -346,11 +373,13 @@ class _Batch:
     def _evaluate(self, u, rows):
         if not self.transformed:
             return np.asarray(self.fn(u, rows), dtype=float)
-        mapped = self.mapped[rows][:, None]
-        w = np.where(mapped, 1.0 - u, 1.0)
-        x = np.where(mapped, self.origin[rows][:, None] + u / w, u)
+        # Where a member is not mapped, w = 1 - u*0 = 1 and x = +-0 + u/1 = u
+        # exactly; where it is not reflected, x*1 = x.
+        mapped, origin, sign = self.affine[rows].T[:, :, None]
+        w = 1.0 - u * mapped
+        x = origin + u / w
         if self.reflected:
-            x = np.where(self.reflect[rows][:, None], -x, x)
+            x = x * sign
         return np.asarray(self.fn(x, rows), dtype=float) / (w * w)
 
 
@@ -359,12 +388,12 @@ def _rule(batch: _Batch, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
     h = 0.5 * (b - a)
     y = batch.values((0.5 * (a + b))[:, None] + h[:, None] * _XK, rows)
     s = y @ _W
-    ik = h * s[:, 0]
-    diff = h * np.abs(s[:, 0] - s[:, 1])
+    kronrod = s[:, 0]
+    diff = h * abs(kronrod - s[:, 1])
     # QUADPACK-style rescaled error estimate.
-    resasc = h * (np.abs(y - 0.5 * s[:, :1]) @ _WK)
+    resasc = h * (abs(y - 0.5 * s[:, :1]) @ _WK)
     # (Where resasc is 0 the panel is constant and the estimate 0.)
-    return ik, resasc * np.fmin(1.0, (200.0 * diff / resasc) ** 1.5)
+    return h * kronrod, resasc * np.fmin(1.0, (200.0 * diff / resasc) ** 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +409,19 @@ def _classify(batch: _Batch):
     of geometric approach; all such ends are probed in one evaluator call.
     """
     singular = batch.singular
-    status = np.where(singular, np.where(batch.exponent <= -1.0, 1, 0), -1)
+    status = np.where(singular, batch.exponent <= -1.0, -1)
     members, sides = (singular & np.isnan(batch.exponent)).nonzero()
     if members.size:
         y, d = batch.probe(members, sides, _FIT)
-        # Points where the integrand numerically vanishes carry no slope.
-        mask = np.abs(y) > 0.0
-        n = np.count_nonzero(mask, axis=1)
+        # Points where the integrand numerically vanishes carry no slope
+        # (log 1 = 0).
+        ay = abs(y)
+        mask = ay > 0.0
+        n = np.add.reduce(mask, axis=1)
         lx = np.where(mask, np.log(d), 0.0)
-        ly = np.where(mask, np.log(np.where(mask, np.abs(y), 1.0)), 0.0)
-        dx = np.where(mask, lx - (lx.sum(axis=1) / n)[:, None], 0.0)
-        p = (dx * ly).sum(axis=1) / (dx * dx).sum(axis=1)
+        ly = np.log(np.where(mask, ay, 1.0))
+        dx = np.where(mask, lx - (np.add.reduce(lx, axis=1) / n)[:, None], 0.0)
+        p = np.add.reduce(dx * ly, axis=1) / np.add.reduce(dx * dx, axis=1)
         # Fewer than four points: the integrand vanishes at the endpoint,
         # nothing to diverge.
         status[members, sides] = np.where(
@@ -428,10 +459,14 @@ def _resolve_divergent(batch: _Batch, status):
     The first such end (lower, then upper) decides: an inconclusive one
     fails its member, a divergent one gives the member an infinite value
     with the sign of the integrand next to that end.  Returns the decided
-    members as a mask and the values (NaN where not divergent).
+    members as a mask and the values (NaN where not divergent), or None
+    for the values when no member is decided.
     """
+    decided = status > 0
+    if not np.count_nonzero(decided):
+        return decided[:, 0], None
     value = np.full(batch.size, np.nan)
-    side = np.where(status[:, 0] > 0, 0, 1)
+    side = np.where(decided[:, 0], 0, 1)
     code = status[np.arange(batch.size), side]
     undecided = (code == 2).nonzero()[0]
     if undecided.size:
@@ -450,8 +485,9 @@ def _resolve_divergent(batch: _Batch, status):
 # ---------------------------------------------------------------------------
 
 
-def _extrapolate_tail(hist: np.ndarray, n: np.ndarray, rho: np.ndarray):
-    """Tail remainders and their errors of ladders with rung values ``hist``.
+def _extrapolate_tail(hist: np.ndarray, mag: np.ndarray, n: np.ndarray, rho: np.ndarray):
+    """Tail remainders and their errors of ladders with rung values ``hist``
+    (and their magnitudes ``mag``).
 
     Column k + 3 of ``hist`` (L, m) is the deepest rung when the ladder
     holds ``n[:, k]`` rungs; the three columns before it are the rungs
@@ -465,21 +501,38 @@ def _extrapolate_tail(hist: np.ndarray, n: np.ndarray, rho: np.ndarray):
     rungs.  A ladder with fewer than five rungs, or with no usable
     geometric structure, charges its last rung as error.
     """
-    i0, i1, i2, i3 = hist[:, :-3], hist[:, 1:-2], hist[:, 2:-1], hist[:, 3:]
+    i1, i2, i3 = hist[:, 1:-2], hist[:, 2:-1], hist[:, 3:]
     r = rho
     unhinted = np.isnan(rho)
     if np.count_nonzero(unhinted):
-        s0, s1, s2, s3 = np.sign(i0), np.sign(i1), np.sign(i2), np.sign(i3)
-        r3 = np.abs(i3 / i2)
-        geometric = ((s0 == s1) & (s1 == s2) & (s2 == s3) & (s0 != 0.0)
-                     & (np.abs(i1 / i0) < 0.999) & (np.abs(i2 / i1) < 0.999) & (r3 < 0.999))
-        r = np.where(unhinted & geometric, r3, rho)
+        # Four rungs of one sign, each smaller than the one before: each
+        # consecutive pair keeps its sign and falls.
+        s = np.sign(hist)
+        ratio = mag[:, 1:] / mag[:, :-1]
+        step = (s[:, 1:] == s[:, :-1]) & (ratio < 0.999)
+        geometric = step[:, :-2] & step[:, 1:-1] & step[:, 2:] & (s[:, :-3] != 0.0)
+        r = np.where(unhinted & geometric, ratio[:, 2:], rho)
     q = r / ((1.0 - r) * (2.0 - r))
     c3, c2 = q * (3.0 - r), q * r
     rem = c3 * i3 - c2 * i2
-    err = np.abs(rem - c3 * i2 + c2 * i1 + i3) + 1e-12 * np.abs(rem)
+    err = abs(rem - c3 * i2 + c2 * i1 + i3) + 1e-12 * abs(rem)
     usable = (n >= 5) & (r < 0.999)
-    return np.where(usable, rem, 0.0), np.where(usable, err, np.abs(i3))
+    return np.where(usable, rem, 0.0), np.where(usable, err, mag[:, 3:])
+
+
+def _rungs(tab, n):
+    """The next ``_RUNGS`` rungs of ladders with rows ``tab`` of ``ltab``
+    after ``n`` rungs: their bounds, and whether each is representable
+    and every rung before it too.  Rung j spans distances |h| 2**-(j+1)
+    to |h| 2**-j from the endpoint."""
+    end = tab[:, :1]
+    x = end + tab[:, 1:2] * _POW2[n + _EDGES]
+    near, far = x[:, 1:], x[:, :-1]
+    # Both ends lie on the inner side of the endpoint, so the near one
+    # decides whether a rung touches it.
+    ok = (near != far) & (near != end) & (n < _LADDER_MAX - _BLOCK)
+    return (np.minimum(near, far), np.maximum(near, far),
+            np.logical_and.accumulate(ok, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -490,146 +543,166 @@ def _extrapolate_tail(hist: np.ndarray, n: np.ndarray, rho: np.ndarray):
 class _Rounds:
     """Panels and ladders of the members being integrated, refined in rounds.
 
-    Active panels are ``pm`` (member) and the columns of ``F``: bounds,
-    value, error, noise-floor strikes, and the share of its parent's error
-    that the split making the panel kept (0 for panels no split made).  A
-    member's panels split only after its ladders are done.  Panels that
-    bisection cannot improve (float resolution, or the evaluator's noise
-    floor) are frozen: their value and error stay in the member's total, in
-    ``fixed`` and ``floor``, and they are never split again.
+    The panel store is ``pm`` (each panel's member) and the rows of ``F``:
+    bounds, noise-floor strikes, the share of its parent's error that the
+    split making the panel kept (0 for panels no split made), value, error
+    and a live flag.  Both are preallocated and filled from the front, so
+    the store holds panels in the order they were made, and a per-member
+    sum (a ``bincount`` over the store) adds a member's panels in that
+    order.  A panel that is split or frozen is retired in place: its value,
+    error and live flag become 0, and adding +0 to a sum that starts at +0
+    changes no bit of it.  When the store is full, its live panels move, in
+    order, to the front of a store twice the size they and the new panels
+    need.  A member's panels split only after its ladders are done.  Panels
+    that bisection cannot improve (float resolution, or the evaluator's
+    noise floor) are frozen: their value and error stay in the member's
+    total, in ``fixed`` and ``floor``, and they are never split again.
+
+    Each pass of ``run`` is one round of bookkeeping: one sum per member of
+    the store's values, errors and live flags, from which it takes the
+    members that are done, the free tolerance of the members ready to split
+    (infinite for the others, which then split nothing) and the panels to
+    split.  A member that is done keeps its panels as they are, so its
+    result is the total of the last pass.
     """
 
-    def __init__(self, batch: _Batch, members: np.ndarray, tol: np.ndarray):
-        size = batch.size
+    def __init__(self, batch: _Batch, run: np.ndarray, tol: np.ndarray):
         self.batch, self.tol = batch, tol
-        self.value, self.error, self.fixed, self.floor = np.zeros((4, size))
-        self.running = np.zeros(size, dtype=bool)
-        self.running[members] = True
-        self.open = np.zeros(size, dtype=np.int64)
-        self.pm, self.F = members[:0], _NO_PANELS
-        self._first_round(members)
+        self.value, self.error, self.fixed, self.floor = np.zeros((4, batch.size))
+        self.running = run
+        self.open = np.zeros(batch.size, dtype=np.int64)
+        # A panel narrower than this share of its member's span is narrow
+        # (see _split).
+        self.narrow = 1e-6 * (batch.upper - batch.lower)
+        self.n = self.nlive = 0
+        self.floored = False
+        self._first_round(run)
 
-    def _add(self, pm, a, b, v, e, strikes, kept):
-        self.pm = np.concatenate([self.pm, pm])
-        self.F = np.concatenate([self.F, np.array([a, b, v, e, strikes, kept])], axis=1)
+    def _alloc(self, capacity):
+        self.pm = np.empty(capacity, dtype=np.int64)
+        self.F = np.ones((7, capacity))
+
+    def _add(self, pm, a, b, strikes, kept, v, e):
+        n, k = self.n, pm.size
+        if n + k > self.pm.size:
+            live = self.F[_LIVE, :n] > 0.0
+            old, F = self.pm[:n][live], self.F[:, :n][:, live]
+            n = old.size
+            self._alloc(2 * (n + k))
+            self.pm[:n], self.F[:, :n] = old, F
+        self.pm[n:n + k] = pm
+        self.F[:_LIVE, n:n + k] = a, b, strikes, kept, v, e
+        self.n = n + k
 
     def _freeze(self, pm, v, e):
         np.add.at(self.fixed, pm, v)
         np.add.at(self.floor, pm, e)
+        self.floored = True
 
-    def _first_round(self, members):
+    def _first_round(self, run):
         """Initial partitions, cut at the breakpoints, and the first block of
-        rungs of every ladder, in one call."""
+        rungs of every ladder, in one call.  The partitions of members that
+        do not run are computed with the rest and left out."""
         b = self.batch
-        lo, hi = b.lower[members], b.upper[members]
-        singular = b.singular[members]
-        r, side = singular.nonzero()
-        self.lm = members[r]
-        self.live = np.ones(r.size, dtype=bool)
-        self.nlive = r.size
+        lo, hi = b.lower, b.upper
         left, right = lo, hi
-        if r.size:
-            span = hi - lo
-            left = np.where(singular[:, 0], lo + span / 4.0, lo)
-            right = np.where(singular[:, 1], hi - span / 4.0, hi)
-            self._ladders(r, side, lo, hi, left, right)
+        if b.any_singular:
+            singular = b.singular & run[:, None]
+            r, side = singular.nonzero()
+            quarter = (hi - lo) / 4.0
+            left = np.where(singular[:, 0], lo + quarter, lo)
+            right = np.where(singular[:, 1], hi - quarter, hi)
+            self._ladders(r, side, np.array([lo, hi])[side, r], np.array([left, right])[side, r])
         width = right - left
-        graded = width > 10.0 * (1.0 + np.abs(left))
-        pts = np.sort(np.concatenate([
-            left[:, None] + width[:, None] * _PARTITIONS[graded.view(np.int8)],
-            np.clip(b.cuts[members], left[:, None], right[:, None])], axis=1), axis=1)
-        r, c = (pts[:, :-1] < pts[:, 1:]).nonzero()
-        pm, pa, pb = members[r], pts[r, c], pts[r, c + 1]
+        graded = width > 10.0 * (1.0 + abs(left))
+        # Each partition is sorted already; breakpoints join it unsorted.
+        pts = left[:, None] + width[:, None] * _PARTITIONS[graded.view(np.int8)]
+        if b.cuts is not None:
+            pts = np.concatenate([pts, np.clip(b.cuts, left[:, None], right[:, None])], axis=1)
+            pts.sort(axis=1)
+        pa, pb = pts[:, :-1], pts[:, 1:]
+        panels = (pa < pb) & run[:, None]
+        pm, pa, pb = panels.nonzero()[0], pa[panels], pb[panels]
+        self._alloc(2 * (pm.size + _RUNGS * self.nlive))
         v, e = self._round(pm, pa, pb, first=True)
         zero = np.zeros(pm.size)
-        self._add(pm, pa, pb, v, e, zero, zero)
+        self._add(pm, pa, pb, zero, zero, v, e)
 
     # -- ladders -------------------------------------------------------------
 
-    def _ladders(self, r, side, lo, hi, left, right):
-        """Ladders toward the singular ends ``side`` of members ``r``.
+    def _ladders(self, lm, side, end, inner):
+        """Ladders of members ``lm`` from their ``side`` ends ``end`` to
+        ``inner``.
 
-        ``lgeo`` holds each ladder's endpoint, signed span h, last rung and
-        tail decay ratio; ``lvals`` its rung values after four leading
-        zeros; ``lstate`` its largest rung value and the tail remainder and
-        its error after the rungs taken so far."""
-        end = np.array([lo, hi])[side, r]
-        h = np.array([left, right])[side, r] - end
+        ``ln`` holds the rungs each ladder has taken and ``ltab`` one row
+        per ladder: its endpoint, signed span h, last rung, tail decay
+        ratio, the tail error that ends it (set in the first round), its
+        largest rung value, the tail remainder and its error after the
+        rungs taken so far, and its last four rung values (zeros before
+        the first)."""
+        h = inner - end
+        span = abs(h)
         # A ladder ends at the rung from which evaluating the distance to the
         # endpoint loses more than ~1e-9 relative precision (panel values
         # below it are noise), and at _LADDER_MAX rungs.
-        noise = _EPS * np.maximum(np.abs(end), np.abs(h)) * 1e7
-        last = np.minimum(np.count_nonzero(
-            np.abs(h)[:, None] * _POW2[1:_LADDER_MAX + 1] >= noise[:, None], axis=1),
+        noise = _EPS * np.maximum(abs(end), span) * 1e7
+        last = np.minimum(np.add.reduce(
+            span[:, None] * _POW2[1:_LADDER_MAX + 1] >= noise[:, None], axis=1),
             _LADDER_MAX - 1)
         # The decay ratio 2**-(1+p) from the exponent hint p (NaN: none).
-        rho = 2.0 ** -(1.0 + self.batch.exponent[self.lm, side])
-        self.lgeo = np.array([end, h, last, rho]).T
-        self.lvals = np.zeros((r.size, _LADDER_MAX + 4))
-        self.ln = np.zeros(r.size, dtype=np.int64)
-        self.lstate = np.zeros((r.size, 3))
-        np.add.at(self.open, self.lm, 1)
+        rho = 2.0 ** -(1.0 + self.batch.exponent[lm, side])
+        self.lm = lm
+        self.ln = np.zeros(lm.size, dtype=np.int64)
+        self.ltab = np.zeros((lm.size, 12))
+        self.ltab[:, :4] = np.array([end, h, last, rho]).T
+        self.live = np.ones(lm.size, dtype=bool)
+        self.nlive = lm.size
+        np.add.at(self.open, lm, 1)
 
-    def _block(self, ids):
-        """The next ``_RUNGS`` rungs of ladders ``ids``: their bounds, and
-        whether each is representable and every rung before it too.  Rung j
-        spans distances |h| 2**-(j+1) to |h| 2**-j from the endpoint."""
-        n = self.ln[ids][:, None]
-        geo = self.lgeo[ids]
-        end = geo[:, :1]
-        x = end + geo[:, 1:2] * _POW2[n + _EDGES]
-        a, b = np.minimum(x[:, 1:], x[:, :-1]), np.maximum(x[:, 1:], x[:, :-1])
-        ok = (a < b) & (a != end) & (b != end) & (n + _BLOCK < _LADDER_MAX)
-        return a, b, np.logical_and.accumulate(ok, axis=1)
-
-    def _climb(self, ids, a, b, ok, v, e):
+    def _climb(self, ids, tab, n, a, b, ok, v, e):
         """Append each ladder's block of rungs in order and finish the
         ladders that end in it.  A ladder ends before a rung that rebounds
         or is not representable, after its last rung, and once the tail
         remainder of a rung from the sixth on is good to 2% of the
         tolerance; it then keeps the rungs up to the one with the best such
         remainder in the block."""
-        geo = self.lgeo[ids]
-        n = self.ln[ids][:, None]
-        state = self.lstate[ids]
         j = n + _BLOCK
-        av = np.abs(v)
         # hist: the ladder's last four values, then the block; seen[:, c]:
-        # the largest value before rung c.
-        hist = np.concatenate([self.lvals[ids[:, None], n + _LAST4], v], axis=1)
-        seen = np.maximum.accumulate(np.concatenate([state[:, :1], av], axis=1), axis=1)
+        # the largest value before rung c (0 before the first).
+        hist = np.concatenate([tab[:, 8:], v], axis=1)
+        mag = abs(hist)
+        av = mag[:, 4:]
+        seen = np.maximum.accumulate(np.concatenate([tab[:, 5:6], av], axis=1), axis=1)
         # Deep in the decayed regime panel values must keep shrinking
         # geometrically; a rebound there means the evaluator hit its noise
         # floor.  (Shallow rebounds are legitimate: the next-order endpoint
         # term can dominate the first few panels.)
-        skip = ~ok | ((j > 0) & (av > np.abs(hist[:, 3:-1])) & (av < 1e-3 * seen[:, :-1]))
-        halt = skip | (j >= geo[:, 2:3])
+        skip = ~ok | ((av > mag[:, 3:-1]) & (av < 1e-3 * seen[:, :-1]))
+        halt = skip | (j >= tab[:, 2:3])
         r = np.arange(ids.size)
         first = halt.argmax(axis=1)
         take = np.where(halt[r, first], first + ~skip[r, first], _RUNGS)
         # Tail model after each count of rungs taken, from none to all.
-        rem, err = _extrapolate_tail(hist, n + _EDGES, geo[:, 3:])
-        good = ((err[:, 1:] < 0.02 * self.tol_scale[self.lm[ids]][:, None]) & (j >= 5)
-                & (_BLOCK < take[:, None]))
+        rem, err = _extrapolate_tail(hist, mag, n + _EDGES, tab[:, 3:4])
+        good = (err[:, 1:] < tab[:, 4:5]) & (j >= 5) & (_BLOCK < take[:, None])
         met = np.logical_or.reduce(good, axis=1)
         take = np.where(met, np.where(good, err[:, 1:], np.inf).argmin(axis=1) + 1, take)
         keep = _BLOCK < take[:, None]
-        rows = np.repeat(ids, take)
-        v = v[keep]
-        self.lvals[rows, j[keep] + 4] = v
-        zero = np.zeros(rows.size)
-        self._add(self.lm[rows], a[keep], b[keep], v, e[keep], zero, zero)
+        zero = np.zeros(np.count_nonzero(keep))
+        self._add(self.lm[ids.repeat(take)], a[keep], b[keep], zero, zero, v[keep], e[keep])
         self.ln[ids] = n[:, 0] + take
-        self.lstate[ids] = np.array([seen[r, take], rem[r, take], err[r, take]]).T
+        self.ltab[ids, 5:] = np.array([seen, rem, err, hist[:, :-3], hist[:, 1:-2],
+                                       hist[:, 2:-1], hist[:, 3:]])[:, r, take].T
         self._finish(ids[met | (take < _RUNGS) | halt[:, -1]])
 
     def _finish(self, ids):
         """End ladders ``ids``: their tail remainders join the fixed part."""
         if not ids.size:
             return
-        state = self.lstate[ids]
-        self._freeze(self.lm[ids], state[:, 1], state[:, 2])
-        np.subtract.at(self.open, self.lm[ids], 1)
+        lm = self.lm[ids]
+        rem, err = self.ltab[ids, 6:8].T
+        self._freeze(lm, rem, err)
+        np.subtract.at(self.open, lm, 1)
         self.live[ids] = False
         self.nlive -= ids.size
 
@@ -638,39 +711,41 @@ class _Rounds:
     def _round(self, pm, a, b, first=False):
         """Evaluate the panels (pm, a, b) and the next block of rungs of every
         live ladder in one call; let the ladders climb, and return the
-        panels' values and errors.  The first round also sets each member's
-        tolerance scale, the sum of |value| over its initial panels."""
+        panels' values and errors.  The first round also sets each ladder's
+        tail tolerance from its member's tolerance scale, the sum of
+        |value| over the member's initial panels."""
         k = pm.size
         rows = pm
         if self.nlive:
             ids = self.live.nonzero()[0]
-            ra, rb, ok = self._block(ids)
+            tab, n = self.ltab[ids], self.ln[ids][:, None]
+            ra, rb, ok = _rungs(tab, n)
             if np.count_nonzero(ok[:, 0]) < ids.size:
                 self._finish(ids[~ok[:, 0]])
-                ids, ra, rb, ok = ids[ok[:, 0]], ra[ok[:, 0]], rb[ok[:, 0]], ok[ok[:, 0]]
-            rr, rc = ok.nonzero()
-            a, b = np.concatenate([a, ra[rr, rc]]), np.concatenate([b, rb[rr, rc]])
-            rows = np.concatenate([pm, self.lm[ids[rr]]])
+                go = ok[:, 0]
+                ids, tab, n, ra, rb, ok = ids[go], tab[go], n[go], ra[go], rb[go], ok[go]
+            a, b = np.concatenate([a, ra[ok]]), np.concatenate([b, rb[ok]])
+            rows = np.concatenate([pm, self.lm[ids[ok.nonzero()[0]]]])
         if not rows.size:
             return a, a
         v, e = _rule(self.batch, a, b, rows)
         if first and self.nlive:
-            scale = np.bincount(pm, np.abs(v[:k]), self.batch.size)
-            self.tol_scale = np.maximum(self.tol, self.tol * scale)
+            scale = np.bincount(pm, abs(v[:k]), self.batch.size)
+            self.ltab[:, 4] = 0.02 * np.maximum(self.tol, self.tol * scale)[self.lm]
+            tab[:, 4] = self.ltab[ids, 4]
         if rows.size > k:
-            rv, re = np.zeros(ok.shape), np.zeros(ok.shape)
-            rv[rr, rc], re[rr, rc] = v[k:], e[k:]
-            self._climb(ids, ra, rb, ok, rv, re)
+            ve = np.zeros((2,) + ok.shape)
+            ve[:, ok] = v[k:], e[k:]
+            self._climb(ids, tab, n, ra, rb, ok, *ve)
         return v[:k], e[:k]
 
     def _prune(self):
-        """Drop the members at and after the batch's first failure."""
+        """Stop the members at and after the batch's first failure."""
         f = self.batch.first_failure
         self.running[f:] = False
-        keep = self.pm < f
-        self.pm, self.F = self.pm[keep], self.F[:, keep]
-        self.live &= self.lm < f
-        self.nlive = np.count_nonzero(self.live)
+        if self.nlive:
+            self.live &= self.lm < f
+            self.nlive = np.count_nonzero(self.live)
 
     def run(self):
         b, tol = self.batch, self.tol
@@ -680,59 +755,70 @@ class _Rounds:
                 self._prune()
             if not np.count_nonzero(self.running):
                 return
-            pm, F = self.pm, self.F
-            total = self.fixed + np.bincount(pm, F[2], size)
-            err = self.floor + np.bincount(pm, F[3], size)
-            limit = np.maximum(tol, tol * np.abs(total))
+            pm, F = self.pm[:self.n], self.F[:, :self.n]
+            total = self.fixed + np.bincount(pm, F[_VALUE], size)
+            err = self.floor + np.bincount(pm, F[_ERROR], size)
+            # A member that is done keeps its panels as they are, so these
+            # are its result in every later round too.
+            self.value, self.error = total, err
+            limit = np.maximum(tol, tol * abs(total))
             ready = self.running & (self.open == 0)
             done = ready & (err <= limit)
             if np.count_nonzero(done):
-                np.copyto(self.value, total, where=done)
-                np.copyto(self.error, err, where=done)
                 self.running ^= done
                 if not np.count_nonzero(self.running):
                     return
                 ready ^= done
-            free = limit - self.floor
-            stuck = ready & (free < 0.0)
-            if np.count_nonzero(stuck):
-                m = stuck.argmax()
-                b.fail(m, EvaluationBudgetError(
-                    "tolerance unreachable: residual error "
-                    f"{self.floor[m]:.3e} cannot be reduced by further subdivision"))
-                self._prune()
-                ready &= self.running
-                pm, F = self.pm, self.F
-            # Split every panel of a ready member whose error exceeds its
-            # share of the member's free tolerance.
-            share = _SPLIT_SHARE * free / np.bincount(pm, minlength=size)
-            self._split(ready[pm] & (F[3] > share[pm]), free)
+            # The free tolerance of a ready member is its tolerance less the
+            # error no split can reduce; the others have infinite free
+            # tolerance and split nothing.  Only frozen error can exceed the
+            # tolerance.
+            free = np.where(ready, limit - self.floor, np.inf)
+            if self.floored:
+                stuck = free < 0.0
+                if np.count_nonzero(stuck):
+                    m = stuck.argmax()
+                    b.fail(m, EvaluationBudgetError(
+                        "tolerance unreachable: residual error "
+                        f"{self.floor[m]:.3e} cannot be reduced by further subdivision"))
+                    self._prune()
+                    free[b.first_failure:] = np.inf
+            # Split every panel whose error exceeds its member's share of the
+            # free tolerance.
+            share = _SPLIT_SHARE * free / np.bincount(pm, F[_LIVE], size)
+            self._split((F[_ERROR] > share[pm]).nonzero()[0], free)
 
     def _split(self, chosen, free):
-        """Split the panels ``chosen`` (a mask) and evaluate the pieces.
+        """Split the panels at store positions ``chosen`` and evaluate the
+        pieces.
 
         A panel is bisected, or split in four where its own bisection is
         predicted (its error times the share its parent's split kept) to
         leave more than its member's free tolerance: two rounds of
         bisection would then evaluate at least the same four quarters in
         one more round.  A panel that float resolution cannot bisect is
-        frozen.
+        frozen.  With nothing chosen, the round climbs the ladders alone.
         """
-        pm, F = self.pm, self.F
-        m, (a, b, v, e, strikes, kept) = pm[chosen], F[:, chosen]
-        chosen = ~chosen
-        self.pm, self.F = pm[chosen], F[:, chosen]
+        if not chosen.size:
+            self._round(chosen, _NO_BOUNDS, _NO_BOUNDS)
+            return
+        m = self.pm[chosen]
+        a, b, strikes, kept, v, e, _ = self.F[:, chosen]
+        self.F[_VALUE:, chosen] = 0.0
         mid = 0.5 * (a + b)
         ok = (a < mid) & (mid < b)
         if np.count_nonzero(ok) < ok.size:
-            self._freeze(m[~ok], v[~ok], e[~ok])
+            stop = ~ok
+            self._freeze(m[stop], v[stop], e[stop])
             m, a, b, e, strikes, kept, mid = (m[ok], a[ok], b[ok], e[ok], strikes[ok],
                                               kept[ok], mid[ok])
         # Cut points of each parent; a bisected one repeats mid and b, and
         # the empty pieces between repeats drop out.
         deep = kept * e > free[m]
-        cuts = np.array([a, np.where(deep, 0.5 * (a + mid), mid), mid,
-                         np.where(deep, 0.5 * (mid + b), b), b])
+        q1, q3 = mid, b
+        if np.count_nonzero(deep):
+            q1, q3 = np.where(deep, 0.5 * (a + mid), mid), np.where(deep, 0.5 * (mid + b), b)
+        cuts = np.array([a, q1, mid, q3, b])
         lo, hi = cuts[:-1].ravel(), cuts[1:].ravel()
         piece = (lo < hi).nonzero()[0]
         owner = piece % m.size
@@ -743,15 +829,15 @@ class _Rounds:
         # Persistent non-improvement on an already narrow panel means the
         # evaluator's noise floor; a non-improving split on a wide panel is
         # just an optimistic parent estimate being corrected.
-        span = self.batch.upper[m] - self.batch.lower[m]
-        narrow = (b - a < 1e-6 * span) & (kept > 0.9)
+        narrow = (b - a < self.narrow[m]) & (kept > 0.9)
         strikes = np.where(narrow, strikes + 1.0, 0.0)[owner]
         if np.count_nonzero(narrow):
             go = strikes < 3.0
-            self._freeze(pm[~go], v[~go], e2[~go])
+            stop = ~go
+            self._freeze(pm[stop], v[stop], e2[stop])
             pm, lo, hi, v, e2, strikes, owner = (pm[go], lo[go], hi[go], v[go], e2[go],
                                                  strikes[go], owner[go])
-        self._add(pm, lo, hi, v, e2, strikes, kept[owner])
+        self._add(pm, lo, hi, strikes, kept[owner], v, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -804,23 +890,29 @@ def _integrate_leading(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAU
     with np.errstate(all="ignore"):
         batch = _Batch(fn, lower, upper, budget, exponent_lower, exponent_upper,
                        singular_lower, singular_upper, breakpoints)
-        diverged, infinite = _resolve_divergent(batch, _classify(batch))
-        run = ~batch.empty & ~diverged
+        run = ~batch.empty
+        infinite = None
+        if batch.any_singular:
+            diverged, infinite = _resolve_divergent(batch, _classify(batch))
+            run &= ~diverged
         run[batch.first_failure:] = False
-        rounds = _Rounds(batch, run.nonzero()[0], tol)
+        rounds = _Rounds(batch, run, tol)
         rounds.run()
     f = batch.first_failure
-    value = np.where(diverged, infinite, rounds.value)[:f]
-    error = np.where(diverged, math.inf, rounds.error)[:f]
+    value, error, flags = rounds.value[:f], rounds.error[:f], [False] * f
+    if infinite is not None:
+        diverged = diverged[:f]
+        value = np.where(diverged, infinite[:f], value)
+        error = np.where(diverged, math.inf, error)
+        flags = diverged.tolist()
     return [QuadratureResult(*r) for r in zip(value.tolist(), error.tolist(),
-                                              batch.used[:f].tolist(),
-                                              diverged[:f].tolist())], batch.error
+                                              batch.used[:f].tolist(), flags)], batch.error
 
 
 def _rows(fn):
     """A batch evaluator handing ``fn`` every point of a call as one 1-d array."""
     def evaluate(x, rows):
-        return np.reshape(fn(x.ravel()), x.shape)
+        return np.asarray(fn(x.ravel())).reshape(x.shape)
     return evaluate
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extropy import measures as ms
+from extropy.claims import residual_bound_check
 from extropy.distributions import (
     beta_dist,
     exponential,
@@ -401,6 +402,63 @@ class TestBatchedStencil:
         with pytest.raises(EvaluationError) as serial:
             weighted_residual_extropy(dist, 1.0, force_quadrature=True)
         assert str(error) == str(serial.value)
+
+
+    @pytest.mark.parametrize("dist,t", [(gamma_dist(2.0, 1.0), 1.0),
+                                        (exponential(1.0), 0.5),
+                                        (beta_dist(2.0, 1.5), 0.4)])
+    def test_residual_bound_pair_is_one_batch(self, monkeypatch, dist, t):
+        # Jw(X_t) and Js(X_t), two integrands, run as one engine call and
+        # give the two public measures bit for bit.
+        members = []
+        real = ms._integrate_leading
+
+        def counting(fn, lower, upper, **kwargs):
+            members.append(np.size(lower))
+            return real(fn, lower, upper, **kwargs)
+
+        monkeypatch.setattr(ms, "_integrate_leading", counting)
+        rep = residual_bound_check(dist, t)
+        monkeypatch.undo()
+        assert members == [2] and rep.verdict != "indeterminate"
+        r = float(dist.hazard(np.asarray(t)))
+        assert rep.lhs == weighted_residual_extropy(dist, t, force_quadrature=True).value
+        assert rep.rhs == t * r**2 * dynamic_survival_extropy(dist, t).value
+
+    def test_residual_bound_takes_a_js_closed_form(self, monkeypatch):
+        # With a closed form for Js (exponential: Js(X_t) = -1/(4 rate)),
+        # only Jw(X_t) goes to the engine, and Js is the public value.
+        base = exponential(1.0)
+        dist = dataclasses.replace(base, closed_forms={
+            **base.closed_forms, "dynamic_survival_extropy": lambda t: -0.25})
+        members = []
+        real = ms._integrate_leading
+
+        def counting(fn, lower, upper, **kwargs):
+            members.append(np.size(lower))
+            return real(fn, lower, upper, **kwargs)
+
+        monkeypatch.setattr(ms, "_integrate_leading", counting)
+        rep = residual_bound_check(dist, 0.5)
+        monkeypatch.undo()
+        assert members == [1]
+        assert rep.lhs == weighted_residual_extropy(dist, 0.5, force_quadrature=True).value
+        assert rep.rhs == 0.5 * float(dist.hazard(np.asarray(0.5))) ** 2 * -0.25
+
+    @pytest.mark.parametrize("field", ["pdf", "sf"])
+    def test_residual_bound_raises_what_the_serial_pair_raises(self, field):
+        # A NaN deep in the tail (past the hazard check's grid) fails Jw
+        # (pdf) or Js (sf) alone; the batch raises that measure's error.
+        base = exponential(1.0)
+        real = getattr(base, field)
+        dist = dataclasses.replace(base, **{
+            field: lambda x: np.where(np.asarray(x) > 20.0, math.nan, real(x))})
+        with pytest.raises(EvaluationError) as serial:
+            weighted_residual_extropy(dist, 0.5, force_quadrature=True)
+            dynamic_survival_extropy(dist, 0.5)
+        with pytest.raises(EvaluationError) as batched:
+            residual_bound_check(dist, 0.5)
+        assert str(batched.value) == str(serial.value)
 
 
 class TestDecomposition:

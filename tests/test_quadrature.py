@@ -425,3 +425,143 @@ def test_interval_additivity(p, lo, width, frac):
     right = integrate_fn(lambda x: p(x), mid, hi)
     scale = max(1.0, abs(whole.value))
     assert whole.value == pytest.approx(left.value + right.value, abs=1e-9 * scale)
+
+
+# Members of every kind the engine handles, for the bit-for-bit pins below:
+# (name, evaluator, lower, upper, hints and flags, breakpoints, tol).
+PINNED_MEMBERS = [
+    ("regular", lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 2.0, {}, (), 1e-10),
+    ("hinted singular lower", lambda x: x**-0.5 * (1.0 + x), 0.0, 1.0,
+     {"exponent_lower": -0.5}, (), 1e-10),
+    ("hinted singular upper", lambda x: x**2 * (1.0 - x) ** -0.5, 0.0, 1.0,
+     {"exponent_upper": -0.5}, (), 1e-10),
+    ("unhinted mapped tail", lambda x: x**-1.6, 1.0, np.inf,
+     {"singular_upper": True}, (), 1e-10),
+    ("reflected", lambda x: np.exp(2.0 * x), -np.inf, 0.0, {}, (), 1e-10),
+    ("divergent positive", lambda x: x * (1.0 - x) ** -1.2, 0.0, 1.0,
+     {"singular_upper": True}, (), 1e-10),
+    ("divergent negative", lambda x: -x * (1.0 - x) ** -1.2, 0.0, 1.0,
+     {"singular_upper": True}, (), 1e-10),
+    ("breakpoint finite", lambda x: x * np.where(x < 1.0, 1.0, 2.0), 0.34, 3.0, {},
+     (1.0,), 1e-10),
+    ("breakpoint mapped", lambda x: np.exp(-x) * np.where(x < 1.0, 1.0, 2.0), 0.0, np.inf,
+     {}, (1.0,), 1e-10),
+    ("breakpoint reflected", lambda x: np.exp(x) * np.where(x < -1.0, 2.0, 1.0), -np.inf,
+     0.0, {}, (-1.0, 5.0), 1e-10),
+    # An undeclared jump: its panels' splits keep most of their error, so
+    # they are split in four.
+    ("split in four", lambda x: np.where(x < 0.3137, 1.0, 2.0) * (1.0 + x), 0.0, 1.0, {},
+     (), 1e-10),
+    # A span so narrow that the ladder's first rung is not representable:
+    # it ends before its first round while the other ladders climb.
+    ("hairline singular", lambda x: 1.0 + 0.0 * x, 1.0, 1.0 + 8e-16,
+     {"exponent_lower": -0.5}, (), 1e-10),
+    ("empty", lambda x: x, 1.0, 1.0, {}, (), 1e-10),
+]
+
+# integrate of each member alone (integrate_batch of one for the empty
+# range, which an Integrand refuses), then one integrate_batch of all:
+# (value, abs_error_estimate) by float.hex, evaluations, diverged.
+PINNED_ALONE = {
+    "regular": ("0x1.35e863514d48ap-4", "0x1.11a6f9e1d00fdp-68", 60, False),
+    "hinted singular lower": ("0x1.5555555555555p+1", "0x1.cb3ed029e652ep-43", 150, False),
+    "hinted singular upper": ("0x1.11111111110e8p+0", "0x1.cc3038af4200fp-44", 330, False),
+    "unhinted mapped tail": ("0x1.aaaaaaaaaaaa9p+0", "0x1.97b930fc8ef5ep-44", 166, False),
+    "reflected": ("0x1.0000000000000p-1", "0x1.78aa90ff02883p-46", 166, False),
+    "divergent positive": ("inf", "inf", 21, True),
+    "divergent negative": ("-inf", "inf", 21, True),
+    "breakpoint finite": ("0x1.0e26809d49518p+3", "0x1.2049aed6173d1p-66", 75, False),
+    "breakpoint mapped": ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
+    "breakpoint reflected": ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
+    "split in four": ("0x1.518c5de711dacp+1", "0x1.f8c7c96783232p-34", 960, False),
+    "hairline singular": ("0x1.8000000000000p-51", "0x0.0p+0", 45, False),
+    "empty": ("0x0.0p+0", "0x0.0p+0", 0, False),
+}
+PINNED_BATCH = [
+    ("0x1.35e863514d48ap-4", "0x1.11a6f9e1d00fdp-68", 60, False),
+    ("0x1.5555555555555p+1", "0x1.cb3ed029e652ep-43", 150, False),
+    ("0x1.11111111110e8p+0", "0x1.cc3038af4200fp-44", 330, False),
+    ("0x1.aaaaaaaaaaaa9p+0", "0x1.97b930fc8ef5ep-44", 166, False),
+    ("0x1.0000000000000p-1", "0x1.78aa90ff02883p-46", 166, False),
+    ("inf", "inf", 21, True),
+    ("-inf", "inf", 21, True),
+    ("0x1.0e26809d49518p+3", "0x1.2049aed6173d1p-66", 75, False),
+    ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
+    ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
+    ("0x1.518c5de711dacp+1", "0x1.f8c7c96783232p-34", 960, False),
+    ("0x1.8000000000000p-51", "0x0.0p+0", 45, False),
+    ("0x0.0p+0", "0x0.0p+0", 0, False),
+]
+
+# (evaluator, lower, upper, hints and flags, tol, budget): each raises,
+# alone and after a regular member in one batch.
+PINNED_FAILURES = [
+    (lambda x: np.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, np.inf, {}, 1e-13, 500),
+    (lambda x: x**-0.5 / (1.0 - np.log(x)), 0.0, 1.0, {"singular_lower": True}, 1e-12,
+     10**6),
+    (lambda x: 1.0 / x, 0.0, 1.0, {"singular_lower": True}, 1e-10, 10**6),
+    (lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, {}, 1e-10, 10**6),
+]
+PINNED_ERRORS = [
+    ("EvaluationBudgetError",
+     "evaluation budget of 500 points exhausted"),
+    ("EvaluationBudgetError",
+     "tolerance unreachable: residual error 2.044e-09 cannot be reduced by further subdivision"),
+    ("DivergenceUndecidedError",
+     "cannot classify singular lower endpoint: local exponent too close to -1"),
+    ("EvaluationError",
+     "integrand non-finite at interior point x=np.float64(0.5010680786098984)"),
+]
+
+
+def _pin(r):
+    return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations, r.diverged)
+
+
+def _pinned_batch(members, **kw):
+    keys = ("exponent_lower", "exponent_upper", "singular_lower", "singular_upper")
+    hints = {key: [m[4].get(key, False if key.startswith("singular") else None)
+                   for m in members] for key in keys}
+    width = max(len(m[5]) for m in members)
+    breakpoints = [list(m[5]) + [np.nan] * (width - len(m[5])) for m in members]
+    if width:
+        hints["breakpoints"] = breakpoints
+    return integrate_batch(_dispatch([m[1] for m in members]), [m[2] for m in members],
+                           [m[3] for m in members], tol=[m[6] for m in members],
+                           **hints, **kw)
+
+
+def _pinned_alone(member):
+    name, fn, lo, hi, hints, breakpoints, tol = member
+    if not lo < hi:
+        return _pinned_batch([member])[0]
+    return integrate(Integrand(fn, lo, hi, breakpoints=breakpoints, **hints), tol=tol)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the class is what is pinned
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestPinnedEngine:
+    """Every member kind and error path, bit for bit: the panels evaluated,
+    their order and every arithmetic step decide these digits."""
+
+    @pytest.mark.parametrize("member", PINNED_MEMBERS, ids=[m[0] for m in PINNED_MEMBERS])
+    def test_alone(self, member):
+        assert _pin(_pinned_alone(member)) == PINNED_ALONE[member[0]]
+
+    def test_mixed_batch(self):
+        assert [_pin(r) for r in _pinned_batch(PINNED_MEMBERS)] == PINNED_BATCH
+
+    @pytest.mark.parametrize("case", range(len(PINNED_FAILURES)))
+    def test_errors(self, case):
+        fn, lo, hi, hints, tol, budget = PINNED_FAILURES[case]
+        alone = _raised(lambda: integrate(Integrand(fn, lo, hi, **hints), tol=tol,
+                                          budget=budget))
+        member = ("failing", fn, lo, hi, hints, (), tol)
+        batched = _raised(lambda: _pinned_batch([PINNED_MEMBERS[0], member], budget=budget))
+        assert alone == batched == PINNED_ERRORS[case]
