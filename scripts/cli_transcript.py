@@ -8,8 +8,9 @@ product, so last digits can depend on the BLAS build).  The calls cover
 the README examples, ``measure`` of every id on one member per family
 (closed form and ``--method quadrature``), ``curve --method quadrature``
 of every t-indexed id, ``claims`` with each claim id, ``bivariate``,
-``transform`` with each vocabulary entry, ``mc`` and the exit-2 error
-documents.  Each call runs in-process through ``extropy.cli.main``.
+``transform`` with each vocabulary entry, ``mc``, a ``measure`` and a
+``bivariate`` call at ``--tol 1e-4`` and the exit-2 error documents.
+Each call runs in-process through ``extropy.cli.main``.
 
     PYTHONPATH=src python scripts/cli_transcript.py          # compare, exit 1 on a diff
     PYTHONPATH=src python scripts/cli_transcript.py --write  # regenerate the file
@@ -108,7 +109,14 @@ def calls() -> list[tuple[str, list[str]]]:
     for tr, t in TRANSFORMS.items():
         out.append((f"transform-{tr}", ["transform", "--dist", GAMMA, "--transform", tr,
                                         "--t", t]))
+    # A loose --tol moves the digits of both engines' results: it must reach them.
     out += [
+        ("measure-tol", ["measure", "--dist", '{"family":"beta","params":{"alpha":0.7,'
+                         '"beta":0.8}}', "--measure", "past_extropy", "--t", "0.5",
+                         "--method", "quadrature", "--tol", "1e-4"]),
+        ("bivariate-tol", ["bivariate", "--dist", '{"family":"bivariate_beta","params":'
+                           '{"alpha":0.9,"beta":1.5,"gamma":2}}', "--method", "quadrature",
+                           "--tol", "1e-4"]),
         ("exit2-invalid-json", ["measure", "--dist", "{not json", "--measure", "extropy"]),
         ("exit2-unknown-family", ["measure", "--dist", '{"family":"weibull","params":{}}',
                                   "--measure", "extropy"]),

@@ -27,7 +27,6 @@ from .measures import (
     MEASURE_IDS,
     ConditionalLifetime,
     DomainError,
-    MeasureValue,
     compute_measure,
     decomposition_check,
     default_t_grid,
@@ -74,9 +73,8 @@ from .claims import (
     sum_bound_check,
 )
 from .quadrature import (
-    DerivativeResult,
+    Estimate,
     Integrand,
-    QuadratureResult,
     detect_divergence,
     differentiate,
     integrate,

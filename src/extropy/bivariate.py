@@ -31,12 +31,13 @@ import numpy as np
 from .distributions import (
     UnivariateDistribution,
     ValidationError,
+    _require_finite,
     _spec_params,
     beta3,
     make_distribution,
 )
-from .measures import MeasureValue, extropy, weighted_extropy
-from .quadrature import Integrand, QuadratureResult, integrate, integrate_batch
+from .measures import extropy, weighted_extropy
+from .quadrature import Estimate, Integrand, integrate, integrate_batch
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
@@ -101,6 +102,7 @@ def bivariate_beta(alpha: float, beta: float, gamma: float) -> BivariateDistribu
     """Density x**(a-1) (y-x)**(b-1) (1-y)**(c-1) / B3 on 0 < x < y < 1."""
     if not (alpha > 0 and beta > 0 and gamma > 0):
         raise ValidationError("bivariate_beta requires alpha, beta, gamma > 0")
+    _require_finite("bivariate_beta", alpha=alpha, beta=beta, gamma=gamma)
     a, b, c = float(alpha), float(beta), float(gamma)
     norm = beta3(a, b, c)
 
@@ -200,7 +202,7 @@ def make_bivariate(spec: Mapping) -> BivariateDistribution:
 
 def iterated_integral(inner, x_range, lower: float, upper: float, *,
                       inner_exponents=(None, None), exponents=(None, None),
-                      combine=None, tol: float = OUTER_TOL) -> QuadratureResult:
+                      combine=None, tol: float = OUTER_TOL) -> Estimate:
     """Integral over y in (lower, upper) of combine(y, I(y)), where I(y) is
     the integral of ``inner(x, y)`` over x in ``x_range(y)``.
 
@@ -234,7 +236,7 @@ def iterated_integral(inner, x_range, lower: float, upper: float, *,
 
 
 def _iterated(bd: BivariateDistribution, kind: str,
-              tol: float = OUTER_TOL) -> QuadratureResult:
+              tol: float = OUTER_TOL) -> Estimate:
     p, w = _KINDS[kind]
 
     def inner(x, y):
@@ -255,26 +257,26 @@ def bivariate_mass(bd: BivariateDistribution) -> float:
 
 
 def _quarter_integral(bd, kind: str, closed_id: str, force_quadrature: bool,
-                      tol: float = OUTER_TOL) -> MeasureValue:
+                      tol: float = OUTER_TOL) -> Estimate:
     cf = bd.closed_forms.get(closed_id)
     if cf is not None and not force_quadrature:
-        return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
+        return Estimate(cf, 0.0, 0, math.isinf(cf), "closed-form")
     r = _iterated(bd, kind, tol)
     if r.diverged:
-        return MeasureValue(math.inf, "quadrature", math.inf, diverged=True)
-    return MeasureValue(0.25 * r.value, "quadrature", 0.25 * r.abs_error_estimate)
+        return Estimate(math.inf, math.inf, r.evaluations, True)
+    return Estimate(0.25 * r.value, 0.25 * r.abs_error, r.evaluations)
 
 
 def bivariate_extropy(bd: BivariateDistribution, *,
                       force_quadrature: bool = False,
-                      tol: float = OUTER_TOL) -> MeasureValue:
+                      tol: float = OUTER_TOL) -> Estimate:
     """1/4 of the double integral of f^2 over the region."""
     return _quarter_integral(bd, "f2", "bivariate_extropy", force_quadrature, tol)
 
 
 def bivariate_weighted_extropy(bd: BivariateDistribution, *,
                                force_quadrature: bool = False,
-                               tol: float = OUTER_TOL) -> MeasureValue:
+                               tol: float = OUTER_TOL) -> Estimate:
     """1/4 of the double integral of x y f^2 over the region."""
     return _quarter_integral(bd, "xyf2", "bivariate_weighted_extropy",
                              force_quadrature, tol)
@@ -292,7 +294,7 @@ BIVARIATE_MEASURE_IDS = tuple(_BIVARIATE_TABLE)
 
 def compute_bivariate(bd: BivariateDistribution, measure_id: str, *,
                       force_quadrature: bool = False,
-                      tol: float = OUTER_TOL) -> MeasureValue:
+                      tol: float = OUTER_TOL) -> Estimate:
     """Dispatch a bivariate measure by identifier."""
     if measure_id not in _BIVARIATE_TABLE:
         raise ValidationError(

@@ -30,6 +30,7 @@ from .bivariate import BIVARIATE_MEASURE_IDS, OUTER_TOL, compute_bivariate, make
 from .quadrature import (
     DEFAULT_TOL,
     DivergenceUndecidedError,
+    Estimate,
     EvaluationBudgetError,
     EvaluationError,
 )
@@ -181,7 +182,7 @@ def _render_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _mv_row(mv: ms.MeasureValue) -> dict:
+def _mv_row(mv: Estimate) -> dict:
     return {"value": mv.value, "abs_error": mv.abs_error,
             "method": mv.method, "diverged": mv.diverged}
 
@@ -326,7 +327,7 @@ def _cmd_mc(args: argparse.Namespace):
     return {"command": "mc", "dist": label, "n": args.n, "seed": args.seed}, rows
 
 
-def _mc_row(mid: str, samples: np.ndarray, ref: ms.MeasureValue) -> dict:
+def _mc_row(mid: str, samples: np.ndarray, ref: Estimate) -> dict:
     if ref.diverged:
         return {"measure": mid, "estimate": None, "reference": ref.value,
                 "std_error": None, "z": None,

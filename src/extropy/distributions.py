@@ -155,6 +155,14 @@ def _real_array(values, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _require_finite(family: str, **params) -> None:
+    """Reject an infinite or NaN parameter.  JSON specs admit Infinity and
+    NaN, and a range check such as ``not x > 0`` lets +inf through."""
+    bad = [k for k, v in params.items() if not np.all(np.isfinite(v))]
+    if bad:
+        raise ValidationError(f"{family} requires finite {', '.join(bad)}")
+
+
 def _quantile_by_bisection(cdf, lo: float, hi: float, p, tol: float = 1e-12):
     """Vectorized bisection of cdf(x) = p on [lo, hi]."""
     p = np.asarray(p, dtype=float)
@@ -174,6 +182,7 @@ def _quantile_by_bisection(cdf, lo: float, hi: float, p, tol: float = 1e-12):
 def exponential(rate: float) -> UnivariateDistribution:
     if not rate > 0:
         raise ValidationError("exponential requires rate > 0")
+    _require_finite("exponential", rate=rate)
     lam = float(rate)
 
     def pdf(x):
@@ -208,6 +217,7 @@ def uniform(a: float, b: float) -> UnivariateDistribution:
         raise ValidationError("uniform requires a >= 0 (non-negative support)")
     if not a < b:
         raise ValidationError("uniform requires a < b")
+    _require_finite("uniform", a=a, b=b)
     a, b = float(a), float(b)
     w = b - a
 
@@ -241,6 +251,7 @@ def gamma_dist(alpha: float, beta: float) -> UnivariateDistribution:
         raise ValidationError("gamma requires alpha > 0")
     if not beta > 0:
         raise ValidationError("gamma requires beta > 0 (scale)")
+    _require_finite("gamma", alpha=alpha, beta=beta)
     al, sc = float(alpha), float(beta)
     lognorm = math.lgamma(al) + al * math.log(sc)
 
@@ -279,6 +290,7 @@ def beta_dist(alpha: float, beta: float) -> UnivariateDistribution:
         raise ValidationError("beta requires alpha > 0")
     if not beta > 0:
         raise ValidationError("beta requires beta > 0")
+    _require_finite("beta", alpha=alpha, beta=beta)
     al, be = float(alpha), float(beta)
     logb = math.lgamma(al) + math.lgamma(be) - math.lgamma(al + be)
 
@@ -316,6 +328,7 @@ def piecewise(weights) -> UnivariateDistribution:
     c = _real_array(weights, "piecewise weights")
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("piecewise requires a non-empty weight vector")
+    _require_finite("piecewise", weights=c)
     if np.any(c < 0.0):
         raise ValidationError("piecewise requires non-negative weights")
     if abs(float(c.sum()) - 1.0) > 1e-9:
@@ -361,6 +374,7 @@ def pareto(shape: float, scale: float) -> UnivariateDistribution:
         raise ValidationError("pareto requires shape > 0")
     if not scale > 0:
         raise ValidationError("pareto requires scale > 0")
+    _require_finite("pareto", shape=shape, scale=scale)
     k, sig = float(shape), float(scale)
 
     def pdf(x):
@@ -390,6 +404,7 @@ def tabulated(grid) -> UnivariateDistribution:
     pts = _real_array(grid, "tabulated grid entries")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValidationError("tabulated requires a grid of at least two (x, f) pairs")
+    _require_finite("tabulated", grid=pts)
     x = pts[:, 0]
     f = pts[:, 1]
     if np.any(np.diff(x) <= 0.0):
@@ -431,22 +446,14 @@ def tabulated(grid) -> UnivariateDistribution:
         pdf_edge_exponents=(0.0, 0.0), breakpoints=tuple(x[1:-1].tolist()))
 
 
-_FAMILY_PARAMS = {
-    "exponential": ("rate",),
-    "uniform": ("a", "b"),
-    "gamma": ("alpha", "beta"),
-    "beta": ("alpha", "beta"),
-    "piecewise": ("weights",),
-    "pareto": ("shape", "scale"),
-}
-
-_BUILDERS = {
-    "exponential": exponential,
-    "uniform": uniform,
-    "gamma": gamma_dist,
-    "beta": beta_dist,
-    "piecewise": piecewise,
-    "pareto": pareto,
+# family -> (builder, the names of its spec params).
+_FAMILIES = {
+    "exponential": (exponential, ("rate",)),
+    "uniform": (uniform, ("a", "b")),
+    "gamma": (gamma_dist, ("alpha", "beta")),
+    "beta": (beta_dist, ("alpha", "beta")),
+    "piecewise": (piecewise, ("weights",)),
+    "pareto": (pareto, ("shape", "scale")),
 }
 
 
@@ -485,12 +492,11 @@ def make_distribution(spec: Mapping) -> UnivariateDistribution:
         if "grid" not in spec:
             raise ValidationError("tabulated spec requires a 'grid' of (x, f) pairs")
         return tabulated(spec["grid"])
-    if not isinstance(family, str) or family not in _BUILDERS:
-        known = ", ".join(sorted([*_BUILDERS, "tabulated"]))
+    if not isinstance(family, str) or family not in _FAMILIES:
+        known = ", ".join(sorted([*_FAMILIES, "tabulated"]))
         raise ValidationError(f"unknown family {family!r}; known families: {known}")
-    params = _spec_params(spec, family, _FAMILY_PARAMS[family],
-                          scalar=family != "piecewise")
-    return _BUILDERS[family](**params)
+    build, wanted = _FAMILIES[family]
+    return build(**_spec_params(spec, family, wanted, scalar=family != "piecewise"))
 
 
 def closed_form(dist: UnivariateDistribution, measure_id: str,

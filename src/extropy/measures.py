@@ -22,14 +22,18 @@ integrand g (f^2, x f^2 or sf^2); ``MEASURE_IDS`` and
 used when available; every identifier honours ``force_quadrature=True``,
 which forces the numeric path.  All finite values are non-positive.
 
-A public measure is one quadrature.  Where a caller already knows several
-integrals, which differ in range, normaliser and possibly integrand, they
-run as one engine batch (``_batched_measures``): the 20 points of a Ridders
-stencil together with Jw at t, the three sides of the decomposition, the
-grid of ``claims.constancy_explorer``, and Jw(X_t) with Js(X_t) in
-``claims.residual_bound_check``.  Each gives the public measure's value bit
-for bit, and the batch fails at the point where a loop over the public
-measures would.  Curves still take one call per t.
+Every quadrature of this module goes through one function,
+``_batched_measures``: one engine batch of (measure id, t) points, which
+may differ in range, normaliser and integrand.  A public measure is its
+batch of one point.  Callers that already know several integrals batch
+them: the 20 points of a Ridders stencil together with Jw at t, the three
+sides of the decomposition, the grid of ``claims.constancy_explorer``, and
+Jw(X_t) with Js(X_t) in ``claims.residual_bound_check``.  A point gives
+the same value in any batch, and a batch fails at the point where a loop
+over the public measures would.  Curves still take one call per t.
+
+Every result is a :class:`~extropy.quadrature.Estimate`, whose
+``evaluations`` counts the integrand points spent (0 for a closed form).
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ from .distributions import (
 )
 from .quadrature import (
     DEFAULT_TOL,
+    Estimate,
     Integrand,
     _integrate_leading,
+    _rows,
     differentiate,
-    integrate,
 )
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
@@ -60,7 +65,6 @@ __all__ = [
     "BOUNDARY_EPS",
     "DomainError",
     "ConditionalLifetime",
-    "MeasureValue",
     "DerivativeComparison",
     "extropy",
     "weighted_extropy",
@@ -126,14 +130,6 @@ class ConditionalLifetime:
 
 
 @dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    method: str  # "closed-form" or "quadrature"
-    abs_error: float
-    diverged: bool = False
-
-
-@dataclass(frozen=True)
 class DerivativeComparison:
     """Finite-difference derivative next to the two candidate identities.
 
@@ -152,10 +148,9 @@ class DerivativeComparison:
 
 # -- integrand assembly ------------------------------------------------------
 
-def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
-                         x_weight: bool) -> Integrand:
-    """Integrand x^w f(x)^2 on (lo, hi), hinted at the support edges it
-    reaches and cut at the density's breakpoints."""
+def _f_squared_integrand(dist: UnivariateDistribution, x_weight: bool) -> Integrand:
+    """Integrand x^w f(x)^2 on the support, hinted at its edges and cut at
+    the density's breakpoints."""
     pdf = dist.pdf
     if x_weight:
         def fn(x):
@@ -165,32 +160,27 @@ def _f_squared_integrand(dist: UnivariateDistribution, lo: float, hi: float,
             return pdf(x) ** 2
 
     e_lo, e_hi = dist.edge_exponents(2, x_weight)
-    sup_lo, sup_hi = dist.support
-    return Integrand(fn, lo, hi, exponent_lower=e_lo if lo == sup_lo else None,
-                     exponent_upper=e_hi if hi == sup_hi else None,
+    return Integrand(fn, *dist.support, exponent_lower=e_lo, exponent_upper=e_hi,
                      breakpoints=dist.breakpoints)
 
 
-def _sf_squared_integrand(dist: UnivariateDistribution, lo: float,
-                          hi: float) -> Integrand:
-    """Integrand sf(x)^2 on (lo, hi).  A power tail f ~ x^p gives
-    sf ~ x^(p+1), hinted at an infinite upper limit."""
+def _sf_squared_integrand(dist: UnivariateDistribution) -> Integrand:
+    """Integrand sf(x)^2 on the support.  A power tail f ~ x^p gives
+    sf ~ x^(p+1), hinted at an infinite upper edge."""
     sf, p = dist.sf, dist.pdf_edge_exponents[1]
+    lo, hi = dist.support
     tail = 2.0 * (p + 1.0) if math.isinf(hi) and p is not None else None
     return Integrand(lambda x: sf(x) ** 2, lo, hi, exponent_upper=tail,
                      breakpoints=dist.breakpoints)
 
 
-def _scaled_integral(g: Integrand, norm: float,
-                     tol: float = DEFAULT_TOL) -> MeasureValue:
-    """-(1/(2*norm^2)) times the integral of ``g``; infinite, of the
-    opposite sign to the integral, when it diverges."""
-    r = integrate(g, tol=tol)
+def _scaled(r: Estimate, norm: float) -> Estimate:
+    """The measure -(1/(2*norm^2)) int g from the integral ``r`` of g;
+    infinite, of the opposite sign to the integral, when it diverged."""
     if r.diverged:
-        return MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
-                            math.inf, diverged=True)
+        return Estimate(-math.copysign(math.inf, r.value), math.inf, r.evaluations, True)
     k = 0.5 / norm**2
-    return MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate)
+    return Estimate(-k * r.value, k * r.abs_error, r.evaluations)
 
 
 # -- the measure table -------------------------------------------------------
@@ -198,9 +188,10 @@ def _scaled_integral(g: Integrand, norm: float,
 _F2 = partial(_f_squared_integrand, x_weight=False)
 _XF2 = partial(_f_squared_integrand, x_weight=True)
 
-# id -> (conditioning mode, integrand on (lo, hi)).  A mode of None means
-# the whole support with normaliser 1; otherwise the ConditionalLifetime of
-# that mode at t supplies bounds and normaliser, and the measure needs t.
+# id -> (conditioning mode, integrand of the member over its support).  A
+# mode of None means the whole support with normaliser 1; otherwise the
+# ConditionalLifetime of that mode at t supplies range and normaliser, and
+# the measure needs t.
 _MEASURES = {
     "extropy": (None, _F2),
     "weighted_extropy": (None, _XF2),
@@ -216,133 +207,129 @@ T_INDEXED_MEASURES = tuple(m for m, (mode, _) in _MEASURES.items() if mode is no
 
 
 def _measure(measure_id: str, dist, t: float | None, force_quadrature: bool,
-             tol: float) -> MeasureValue:
-    """-(1/(2 norm^2)) int g over the measure's interval: the domain check
-    first, then the catalog closed form, then quadrature."""
-    mode, integrand = _MEASURES[measure_id]
-    if mode is None:
-        (lo, hi), norm = dist.support, 1.0
-    else:
-        cl = ConditionalLifetime(dist, mode, t)
-        (lo, hi), norm = cl.bounds, cl.norm
-    cf = closed_form(dist, measure_id, t=t)
-    if cf is not None and not force_quadrature:
-        return MeasureValue(cf, "closed-form", 0.0, diverged=math.isinf(cf))
-    if lo >= hi:
-        return MeasureValue(0.0, "quadrature", 0.0)
-    return _scaled_integral(integrand(dist, lo, hi), norm, tol)
-
-
-def _batched_measures(dist, points) -> tuple[list[MeasureValue], Exception | None]:
-    """Quadrature values of several measures of ``dist`` in one engine call.
-
-    ``points`` are (measure id, t) pairs.  Each member takes its range and
-    normaliser from the :class:`ConditionalLifetime` of its point (the
-    support and 1 for a whole-support measure), and its integrand g from
-    the table, with g's hint at each support edge its range reaches, as the
-    table's integrand functions give them.  The evaluator hands each
-    integrand the rows of its own members, so a point's g sees the same
-    points as in its own engine call.  Returns the values that
-    ``_measure(..., force_quadrature=True)`` returns at the points before
-    the first one at which it raises, and that error (None when no point
-    fails); no point after it is integrated.
-    """
-    bounds, norms, error = [], [], None
-    for measure_id, t in points:
+             tol: float) -> Estimate:
+    """-(1/(2 norm^2)) int g over the measure's range: the domain check
+    first, then the catalog closed form, else the batch of this one point."""
+    if not force_quadrature and dist.closed_forms.get(measure_id) is not None:
+        # The batch checks the domain of the points it integrates.
         mode = _MEASURES[measure_id][0]
-        if mode is None:
-            bounds.append(dist.support)
-            norms.append(1.0)
-            continue
-        try:
-            cl = ConditionalLifetime(dist, mode, t)
-        except DomainError as exc:
-            error = exc
-            break
-        bounds.append(cl.bounds)
-        norms.append(cl.norm)
-    if not bounds:
-        return [], error
+        if mode is not None:
+            ConditionalLifetime(dist, mode, t)
+        cf = closed_form(dist, measure_id, t=t)
+        if cf is not None:
+            return Estimate(cf, 0.0, 0, math.isinf(cf), "closed-form")
+    values, error = _batched_measures(dist, [(measure_id, t)], tol)
+    if error is not None:
+        raise error
+    return values[0]
+
+
+def _batched_measures(dist, points, tol: float = DEFAULT_TOL
+                      ) -> tuple[list[Estimate], Exception | None]:
+    """Quadrature values of measures of ``dist`` at ``points``, (measure id,
+    t) pairs, in one engine call at ``tol``.
+
+    Each point takes its range and normaliser from the
+    :class:`ConditionalLifetime` of its point (the support and 1 for a
+    whole-support measure), and its integrand g from the table, with g's
+    hint only at the support edges its range reaches.  The evaluator hands
+    each integrand the rows of its own points, so a point's g sees the same
+    points as in an engine call of that point alone.  Returns the values at
+    the points before the first one that fails, and that error (None when
+    no point fails); no point after it is integrated.
+    """
     sup_lo, sup_hi = dist.support
-    makers = [_MEASURES[measure_id][1] for measure_id, _ in points[:len(bounds)]]
-    kinds = list(dict.fromkeys(makers))
-    gs = [make(dist, sup_lo, sup_hi) for make in kinds]
-    which = np.array([kinds.index(make) for make in makers])
-    hints = np.array([[math.nan if e is None else e for e in (g.exponent_lower, g.exponent_upper)]
-                      for g in gs])[which]
-    fns = [g.fn for g in gs]
-
-    def evaluate(x, rows):
-        y = np.empty_like(x)
-        kind = which[rows]
-        for j, fn in enumerate(fns):
-            mine = kind == j
-            if np.count_nonzero(mine):
-                y[mine] = np.reshape(fn(x[mine].ravel()), (-1, x.shape[1]))
-        return y
-
-    lower, upper = np.array(bounds).T
-    results, engine_error = _integrate_leading(
-        evaluate, lower, upper,
-        exponent_lower=np.where(lower == sup_lo, hints[:, 0], math.nan),
-        exponent_upper=np.where(upper == sup_hi, hints[:, 1], math.nan),
-        breakpoints=[gs[j].breakpoints for j in which])
-    values = []
-    for r, lo, hi, norm in zip(results, lower.tolist(), upper.tolist(), norms):
-        # As _measure and _scaled_integral.
-        if not lo < hi:
-            values.append(MeasureValue(0.0, "quadrature", 0.0))
-        elif r.diverged:
-            values.append(MeasureValue(-math.copysign(math.inf, r.value), "quadrature",
-                                       math.inf, diverged=True))
+    gs = {}  # integrand maker -> its integrand of dist
+    lower, upper, norms, kinds, e_lo, e_hi, error = [], [], [], [], [], [], None
+    for measure_id, t in points:
+        mode, make = _MEASURES[measure_id]
+        if mode is None:
+            lo, hi, norm = sup_lo, sup_hi, 1.0
         else:
-            k = 0.5 / norm**2
-            values.append(MeasureValue(-k * r.value, "quadrature", k * r.abs_error_estimate))
+            try:
+                cl = ConditionalLifetime(dist, mode, t)
+            except DomainError as exc:
+                error = exc
+                break
+            (lo, hi), norm = cl.bounds, cl.norm
+        g = gs.get(make)
+        if g is None:
+            g = gs[make] = make(dist)
+        lower.append(lo)
+        upper.append(hi)
+        norms.append(norm)
+        kinds.append(make)
+        e_lo.append(g.exponent_lower if lo == sup_lo else None)
+        e_hi.append(g.exponent_upper if hi == sup_hi else None)
+    if not norms:
+        return [], error
+    if len(gs) == 1:
+        evaluate = _rows(g.fn)
+    else:
+        index = {make: j for j, make in enumerate(gs)}
+        fns = [g.fn for g in gs.values()]
+        which = np.array([index[make] for make in kinds])
+
+        def evaluate(x, rows):
+            y = np.empty_like(x)
+            kind = which[rows]
+            for j, fn in enumerate(fns):
+                mine = kind == j
+                if np.count_nonzero(mine):
+                    y[mine] = np.reshape(fn(x[mine].ravel()), (-1, x.shape[1]))
+            return y
+
+    results, engine_error = _integrate_leading(
+        evaluate, lower, upper, tol=tol, exponent_lower=e_lo, exponent_upper=e_hi,
+        breakpoints=dist.breakpoints)
+    # An empty range integrates to +0 with no evaluation, and stays +0.
+    values = [_scaled(r, norm) if lo < hi else r
+              for r, lo, hi, norm in zip(results, lower, upper, norms)]
     return values, engine_error or error
 
 
 def extropy(dist: UnivariateDistribution, *, force_quadrature: bool = False,
-            tol: float = DEFAULT_TOL) -> MeasureValue:
+            tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("extropy", dist, None, force_quadrature, tol)
 
 
 def weighted_extropy(dist: UnivariateDistribution, *,
                      force_quadrature: bool = False,
-                     tol: float = DEFAULT_TOL) -> MeasureValue:
+                     tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("weighted_extropy", dist, None, force_quadrature, tol)
 
 
 def residual_extropy(dist, t: float, *, force_quadrature: bool = False,
-                     tol: float = DEFAULT_TOL) -> MeasureValue:
+                     tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("residual_extropy", dist, t, force_quadrature, tol)
 
 
 def past_extropy(dist, t: float, *, force_quadrature: bool = False,
-                 tol: float = DEFAULT_TOL) -> MeasureValue:
+                 tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("past_extropy", dist, t, force_quadrature, tol)
 
 
 def weighted_residual_extropy(dist, t: float, *,
                               force_quadrature: bool = False,
-                              tol: float = DEFAULT_TOL) -> MeasureValue:
+                              tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("weighted_residual_extropy", dist, t, force_quadrature, tol)
 
 
 def weighted_past_extropy(dist, t: float, *,
                           force_quadrature: bool = False,
-                          tol: float = DEFAULT_TOL) -> MeasureValue:
+                          tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("weighted_past_extropy", dist, t, force_quadrature, tol)
 
 
 def dynamic_survival_extropy(dist, t: float, *,
                              force_quadrature: bool = False,
-                             tol: float = DEFAULT_TOL) -> MeasureValue:
+                             tol: float = DEFAULT_TOL) -> Estimate:
     return _measure("dynamic_survival_extropy", dist, t, force_quadrature, tol)
 
 
 def compute_measure(dist, measure_id: str, t: float | None = None, *,
                     force_quadrature: bool = False,
-                    tol: float = DEFAULT_TOL) -> MeasureValue:
+                    tol: float = DEFAULT_TOL) -> Estimate:
     """Dispatch a measure by identifier; t-indexed measures require t."""
     if measure_id not in _MEASURES:
         raise ValidationError(
@@ -396,7 +383,7 @@ def _weighted_derivative(dist, t: float, mode: str) -> DerivativeComparison:
         q = float(dist.reversed_hazard(np.asarray(t)))
         claimed = -(q / 2.0) * (jw + t * q)
         corrected = -2.0 * q * jw - t * q * q / 2.0
-    return DerivativeComparison(num.value, claimed, corrected, num.abs_error_estimate)
+    return DerivativeComparison(num.value, claimed, corrected, num.abs_error)
 
 
 def weighted_residual_derivative(dist, t: float) -> DerivativeComparison:

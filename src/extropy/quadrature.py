@@ -45,6 +45,10 @@ divergent, and the unreachable-tolerance check while no error is frozen.
 An :class:`Integrand`'s evaluator receives a 1-d float ndarray and returns
 an ndarray of the same shape; a batch evaluator receives the (k, n) array
 of points and the member of each row (see :func:`integrate_batch`).
+
+Each integral, and the derivative of :func:`differentiate`, is an
+:class:`Estimate`: value, abs_error, evaluations, diverged and method.  The
+measure, bivariate and transform layers return the same type.
 """
 
 from __future__ import annotations
@@ -57,15 +61,13 @@ import numpy as np
 
 __all__ = [
     "Integrand",
-    "QuadratureResult",
-    "DerivativeResult",
+    "Estimate",
     "QuadratureError",
     "EvaluationBudgetError",
     "DivergenceUndecidedError",
     "EvaluationError",
     "integrate",
     "integrate_batch",
-    "integrate_fn",
     "detect_divergence",
     "differentiate",
     "DEFAULT_TOL",
@@ -180,18 +182,22 @@ class Integrand:
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
+class Estimate:
+    """A computed value, the bound on its absolute error and the evaluations
+    spent on it.
+
+    Every result of the library has this type: an integral, a derivative
+    and every measure.  ``diverged`` marks the infinite value of a
+    non-integrable integrand, whose ``abs_error`` is inf.  ``method`` is
+    "quadrature", "closed-form" (a catalog value, 0 evaluations) or
+    "ridders" (a finite-difference derivative).
+    """
+
     value: float
-    abs_error_estimate: float
+    abs_error: float
     evaluations: int
     diverged: bool = False
-
-
-@dataclass(frozen=True)
-class DerivativeResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+    method: str = "quadrature"
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +854,7 @@ class _Rounds:
 def integrate_batch(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
                     exponent_lower=None, exponent_upper=None,
                     singular_lower=False, singular_upper=False,
-                    breakpoints=()) -> list[QuadratureResult]:
+                    breakpoints=()) -> list[Estimate]:
     """Integrate M integrands that share the broadcasting evaluator ``fn``.
 
     ``fn(x, rows)`` receives a (k, n) float array of points and the (k,)
@@ -875,7 +881,7 @@ def integrate_batch(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_
 def _integrate_leading(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
                        exponent_lower=None, exponent_upper=None,
                        singular_lower=False, singular_upper=False,
-                       breakpoints=()) -> tuple[list[QuadratureResult], QuadratureError | None]:
+                       breakpoints=()) -> tuple[list[Estimate], QuadratureError | None]:
     """:func:`integrate_batch`, returning its first failing member's error
     instead of raising it, with the results of the members before that one
     (the members after it are not finished).  The error is None when no
@@ -905,8 +911,8 @@ def _integrate_leading(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAU
         value = np.where(diverged, infinite[:f], value)
         error = np.where(diverged, math.inf, error)
         flags = diverged.tolist()
-    return [QuadratureResult(*r) for r in zip(value.tolist(), error.tolist(),
-                                              batch.used[:f].tolist(), flags)], batch.error
+    return [Estimate(*r) for r in zip(value.tolist(), error.tolist(),
+                                      batch.used[:f].tolist(), flags)], batch.error
 
 
 def _rows(fn):
@@ -917,7 +923,7 @@ def _rows(fn):
 
 
 def integrate(g: Integrand, tol: float = DEFAULT_TOL,
-              budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+              budget: int = DEFAULT_BUDGET) -> Estimate:
     """Integrate ``g`` to absolute-or-relative tolerance ``tol``.
 
     On success ``|value - true| <= max(tol, tol*|value|)``.  Declared
@@ -935,25 +941,13 @@ def integrate(g: Integrand, tol: float = DEFAULT_TOL,
         breakpoints=[g.breakpoints])[0]
 
 
-def integrate_fn(fn, lower: float, upper: float, *, tol: float = DEFAULT_TOL,
-                 budget: int = DEFAULT_BUDGET, singular_lower: bool = False,
-                 singular_upper: bool = False, exponent_lower: float | None = None,
-                 exponent_upper: float | None = None) -> QuadratureResult:
-    """Convenience wrapper building the :class:`Integrand` inline."""
-    return integrate(
-        Integrand(fn, lower, upper, singular_lower=singular_lower,
-                  singular_upper=singular_upper, exponent_lower=exponent_lower,
-                  exponent_upper=exponent_upper),
-        tol=tol, budget=budget)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
 
 
 def differentiate(h: Callable[[np.ndarray], tuple], t: float,
-                  scale: float) -> DerivativeResult:
+                  scale: float) -> Estimate:
     """Central finite difference with Richardson extrapolation (Ridders).
 
     ``scale`` is the initial stencil half-width; it must keep ``t +/- scale``
@@ -1005,4 +999,4 @@ def differentiate(h: Callable[[np.ndarray], tuple], t: float,
                 best = table[i][j]
         if abs(table[i][i] - table[i - 1][i - 1]) >= 2.0 * best_err and i > 2:
             break
-    return DerivativeResult(best, best_err, points.size)
+    return Estimate(best, best_err, points.size, method="ridders")

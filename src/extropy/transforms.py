@@ -28,12 +28,11 @@ from .distributions import UnivariateDistribution, ValidationError
 from .measures import (
     ConditionalLifetime,
     DomainError,
-    MeasureValue,
-    _scaled_integral,
+    _scaled,
     extropy,
     weighted_extropy,
 )
-from .quadrature import Integrand
+from .quadrature import Estimate, Integrand, integrate
 
 __all__ = [
     "MonotoneTransform",
@@ -199,13 +198,13 @@ def _ratio_integrand(dist, tr: MonotoneTransform, lo: float, hi: float) -> Integ
                      singular_upper=singular_upper, breakpoints=dist.breakpoints)
 
 
-def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> MeasureValue:
+def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> Estimate:
     """Jw of phi(X), evaluated in the x-domain."""
     _check_transform(dist, tr)
-    return _scaled_integral(_ratio_integrand(dist, tr, *dist.support), 1.0)
+    return _scaled(integrate(_ratio_integrand(dist, tr, *dist.support)), 1.0)
 
 
-def linear_transform_extropy(dist, a: float, b: float) -> tuple[MeasureValue, MeasureValue]:
+def linear_transform_extropy(dist, a: float, b: float) -> tuple[Estimate, Estimate]:
     """Exact extropy and weighted extropy of aX + b (a > 0, b >= 0)."""
     if not a > 0:
         raise ValidationError("linear transform requires a > 0")
@@ -214,15 +213,14 @@ def linear_transform_extropy(dist, a: float, b: float) -> tuple[MeasureValue, Me
     j = extropy(dist)
     jw = weighted_extropy(dist)
     method = "closed-form" if j.method == jw.method == "closed-form" else "quadrature"
-    out_j = MeasureValue(j.value / a, j.method, j.abs_error / a, j.diverged)
-    diverged = jw.diverged or j.diverged
-    out_jw = MeasureValue(jw.value + (b / a) * j.value, method,
-                          jw.abs_error + (b / a) * j.abs_error, diverged)
+    out_j = Estimate(j.value / a, j.abs_error / a, j.evaluations, j.diverged, j.method)
+    out_jw = Estimate(jw.value + (b / a) * j.value, jw.abs_error + (b / a) * j.abs_error,
+                      jw.evaluations + j.evaluations, jw.diverged or j.diverged, method)
     return out_j, out_jw
 
 
 def transformed_residual_past(dist, tr: MonotoneTransform,
-                              t: float) -> tuple[MeasureValue, MeasureValue]:
+                              t: float) -> tuple[Estimate, Estimate]:
     """Weighted residual and past extropy of Y = phi(X) at time t.
 
     Evaluated in the x-domain between phi^{-1}(t) and the support edges;
@@ -235,12 +233,12 @@ def transformed_residual_past(dist, tr: MonotoneTransform,
         raise DomainError(
             f"phi_inverse({t}) = {xt} is outside the base support ({lo}, {hi})")
 
-    def side(mode: str) -> MeasureValue:
+    def side(mode: str) -> Estimate:
         try:
             cl = ConditionalLifetime(dist, mode, xt)
         except DomainError as exc:
             raise DomainError(f"at t={t} (x-domain {xt}): {exc}") from exc
-        return _scaled_integral(_ratio_integrand(dist, tr, *cl.bounds), cl.norm)
+        return _scaled(integrate(_ratio_integrand(dist, tr, *cl.bounds)), cl.norm)
 
     if tr.direction == "increasing":
         return side("residual"), side("past")

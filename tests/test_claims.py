@@ -1,7 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import extropy
 
 from extropy.claims import (
     CLAIMS,
@@ -271,3 +278,27 @@ def test_claim_id_registry():
                          "sum_bound", "independence_factorization",
                          "lemma1_residual", "lemma1_past", "constancy")
     assert tuple(CLAIMS) == CLAIM_IDS
+
+
+def test_claim_suite_script_runs(tmp_path):
+    # scripts/run_claim_suite.py at two points per member, in a fresh process.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(extropy.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "claims.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_claim_suite.py"), "--points", "2",
+         "--out", str(out)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    rows = doc["rows"]
+    assert sum(doc["summary"].values()) == len(rows)
+    assert {r["verdict"] for r in rows} <= {"holds", "violated", "indeterminate"}
+    # The README's pinned violation: Jw(X+Y) = -3/16 against the bound -1/8
+    # for i.i.d. exponential(1).
+    (row,) = [r for r in rows if r["claim"] == "sum_bound"
+              and r["dist"] == "exponential(rate=1)+exponential(rate=1)"]
+    assert row["verdict"] == "violated"
+    assert row["lhs"] == pytest.approx(-0.1875, abs=1e-9)
+    assert row["rhs"] == pytest.approx(-0.125, abs=1e-12)

@@ -71,6 +71,20 @@ class TestMeasureCommand:
         assert code == 2
         assert "known families" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--dist", '{"family":"exponential","params":{"rate":Infinity}}',
+         "--measure", "extropy"],
+        ["measure", "--dist", '{"family":"piecewise","params":{"weights":[NaN,1]}}',
+         "--measure", "weighted_extropy"],
+        ["bivariate", "--dist",
+         '{"family":"bivariate_beta","params":{"alpha":Infinity,"beta":1,"gamma":1}}'],
+    ], ids=["exponential", "piecewise", "bivariate_beta"])
+    def test_non_finite_parameter_exit_2(self, argv):
+        # JSON admits Infinity and NaN; the builders reject them as invalid specs.
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "finite" in json.loads(err)["error"]["message"]
+
     def test_dist_from_file(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text(EXP1)

@@ -30,6 +30,7 @@ from extropy.distributions import (
     tabulated,
     uniform,
 )
+from extropy.bivariate import bivariate_beta
 from extropy.quadrature import Integrand, integrate
 
 
@@ -193,6 +194,27 @@ class TestClosedForms:
         assert closed_form(pareto(2.0, 1.0), "weighted_extropy") is None
 
 
+# Each builder with one parameter a multiple of v (valid at v = 1), for every
+# parameter.
+_ONE_PARAM = {
+    "exponential-rate": lambda v: exponential(v),
+    "uniform-a": lambda v: uniform(v, 2.0),
+    "uniform-b": lambda v: uniform(0.5, v),
+    "gamma-alpha": lambda v: gamma_dist(v, 1.0),
+    "gamma-beta": lambda v: gamma_dist(2.0, v),
+    "beta-alpha": lambda v: beta_dist(v, 1.5),
+    "beta-beta": lambda v: beta_dist(2.0, v),
+    "pareto-shape": lambda v: pareto(v, 1.0),
+    "pareto-scale": lambda v: pareto(2.0, v),
+    "piecewise-weight": lambda v: piecewise([0.25, 0.75 * v]),
+    "tabulated-x": lambda v: tabulated([[0.0, 0.5], [1.0, 1.5], [2.0 * v, 0.5]]),
+    "tabulated-f": lambda v: tabulated([[0.0, 0.5], [1.0, v], [2.0, 0.5]]),
+    "bivariate_beta-alpha": lambda v: bivariate_beta(v, 2.0, 1.5),
+    "bivariate_beta-beta": lambda v: bivariate_beta(1.0, v, 1.5),
+    "bivariate_beta-gamma": lambda v: bivariate_beta(1.0, 2.0, v),
+}
+
+
 class TestSpecDocuments:
     def test_parametric_roundtrip(self):
         d = make_distribution({"family": "uniform", "params": {"a": 1, "b": 3}})
@@ -220,6 +242,15 @@ class TestSpecDocuments:
     def test_validation_names_the_constraint(self, spec, fragment):
         with pytest.raises(ValidationError, match=fragment):
             make_distribution(spec)
+
+    @pytest.mark.parametrize("build", _ONE_PARAM.values(), ids=_ONE_PARAM.keys())
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_parameters_are_rejected(self, build, bad):
+        # JSON specs admit Infinity and NaN; +inf passes a check "x > 0" and
+        # NaN passes "x < 0".
+        build(1.0)
+        with pytest.raises(ValidationError):
+            build(bad)
 
     def test_measure_ids_frozen(self):
         assert MEASURE_IDS == (

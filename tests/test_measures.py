@@ -506,6 +506,35 @@ class TestDispatch:
                         assert quad.value == pytest.approx(
                             auto.value, rel=1e-8, abs=1e-12), (d.label, mid, t)
 
+    @pytest.mark.parametrize("mid,t", [("weighted_extropy", None), ("past_extropy", 0.5),
+                                       ("dynamic_survival_extropy", 0.3)])
+    def test_public_quadrature_is_a_one_point_batch(self, monkeypatch, mid, t):
+        # One engine call of one member, whose result counts the integrand
+        # points it spent.
+        members = []
+        real = ms._integrate_leading
+
+        def counting(fn, lower, upper, **kwargs):
+            members.append(np.size(lower))
+            return real(fn, lower, upper, **kwargs)
+
+        monkeypatch.setattr(ms, "_integrate_leading", counting)
+        r = compute_measure(beta_dist(0.7, 0.8), mid, t, force_quadrature=True)
+        assert members == [1]
+        assert r.method == "quadrature" and r.evaluations > 0
+
+    def test_closed_form_spends_no_evaluation(self):
+        r = compute_measure(exponential(1.0), "weighted_extropy")
+        assert (r.method, r.evaluations) == ("closed-form", 0)
+
+    def test_tol_reaches_the_engine(self):
+        d = beta_dist(0.7, 0.8)
+        loose = compute_measure(d, "past_extropy", 0.5, force_quadrature=True, tol=1e-4)
+        default = compute_measure(d, "past_extropy", 0.5, force_quadrature=True)
+        assert loose.value != default.value
+        assert loose.evaluations < default.evaluations
+        assert loose.value == pytest.approx(default.value, abs=1e-4)
+
     def test_table_is_the_id_registry(self):
         assert tuple(_MEASURES) == MEASURE_IDS
         for mid, (mode, _) in _MEASURES.items():
