@@ -9,7 +9,8 @@ the README examples, ``measure`` of every id on one member per family
 (closed form and ``--method quadrature``), ``curve --method quadrature``
 of every t-indexed id, ``claims`` with each claim id, ``bivariate``,
 ``transform`` with each vocabulary entry, ``mc``, a ``measure`` and a
-``bivariate`` call at ``--tol 1e-4`` and the exit-2 error documents.
+``bivariate`` call at ``--tol 1e-4``, ``residual_bound`` past the support,
+and the exit-2 and exit-3 error documents.
 Each call runs in-process through ``extropy.cli.main``.
 
     PYTHONPATH=src python scripts/cli_transcript.py          # compare, exit 1 on a diff
@@ -38,6 +39,9 @@ EXP1 = '{"family":"exponential","params":{"rate":1}}'
 GAMMA = '{"family":"gamma","params":{"alpha":2,"beta":1}}'
 PARETO = '{"family":"pareto","params":{"shape":2,"scale":1}}'
 UNIFORM = '{"family":"uniform","params":{"a":0,"b":1}}'
+# A beta member whose upper-edge ladder sits on its noise floor: tight
+# residual integrals raise "tolerance unreachable".
+BETA_FLOOR = '{"family":"beta","params":{"alpha":4.05,"beta":0.71}}'
 
 # One member per family, each with t = 0.7 inside its support.
 FAMILY_MEMBERS = {
@@ -132,6 +136,29 @@ def calls() -> list[tuple[str, list[str]]]:
         ("exit2-pair-needs-two", ["claims", "--dist", EXP1, "--claims", "sum_bound"]),
         ("exit2-low-tol", ["measure", "--dist", EXP1, "--measure", "extropy",
                            "--tol", "1e-13"]),
+        ("exit2-mc-negative-seed", ["mc", "--dist", EXP1, "--n", "10", "--seed", "-1"]),
+        ("exit2-transform-scale-inf", ["transform", "--dist", GAMMA,
+                                       "--transform", "scale:inf"]),
+        ("exit2-transform-affine-inf", ["transform", "--dist", GAMMA,
+                                        "--transform", "affine:1,inf"]),
+    ]
+    # A t outside the transform's image: phi_inverse gives NaN or -inf.
+    for tr, t in (("pit", "2"), ("square", "-1"), ("exp", "0")):
+        out.append((f"exit2-transform-{tr}-outside-image",
+                    ["transform", "--dist", EXP1, "--transform", tr, "--t", t]))
+    # sf(t) = 0 past the support: an indeterminate row, no hazard grid.
+    for name, spec, t in (("beta", '{"family":"beta","params":{"alpha":0.7,"beta":0.8}}', "5"),
+                          ("exponential", EXP1, "50")):
+        out.append((f"claims-residual-bound-past-support-{name}",
+                    ["claims", "--dist", spec, "--claims", "residual_bound", "--t", t]))
+    # A batched curve raises the first numerical error in t order.
+    out += [
+        ("exit3-curve-tolerance-unreachable",
+         ["curve", "--dist", BETA_FLOOR, "--measure", "weighted_residual_extropy",
+          "--grid", "0.5:0.99:5", "--method", "quadrature", "--tol", "1e-12"]),
+        ("exit3-claims-lemma1-residual",
+         ["claims", "--dist", BETA_FLOOR, "--claims", "lemma1_residual",
+          "--grid", "0.3:0.9:4"]),
     ]
     return out
 

@@ -32,6 +32,7 @@ from .measures import (
     default_t_grid,
     dynamic_survival_extropy,
     extropy,
+    measure_points,
     past_extropy,
     residual_extropy,
     weighted_extropy,

@@ -25,8 +25,8 @@ import numpy as np
 from .bivariate import TOL_2D, independence_factorization_check, iterated_integral
 from .distributions import UnivariateDistribution, ValidationError, closed_form, exponential
 from .measures import (
+    BOUNDARY_EPS,
     DerivativeComparison,
-    _batched_measures,
     decomposition_check,
     dynamic_survival_extropy,
     weighted_extropy,
@@ -34,7 +34,9 @@ from .measures import (
     weighted_past_extropy,
     weighted_residual_derivative,
     extropy,
+    measure_points,
 )
+from .quadrature import _raise_first
 from .reporting import HOLDS, INDETERMINATE, VIOLATED, ClaimReport
 
 __all__ = [
@@ -92,6 +94,10 @@ def residual_bound_check(dist, t: float, tol: float = 1e-8) -> ClaimReport:
     Gap convention: rhs - lhs (slack, non-negative exactly when the bound
     holds).
     """
+    S = float(dist.sf(np.asarray(t)))
+    if not BOUNDARY_EPS < S:
+        return ClaimReport("residual_bound", math.nan, math.nan, math.nan,
+                           INDETERMINATE, notes=f"sf(t)={S:.3e}: sf(t) > 0 required")
     hi = float(dist.quantile(np.asarray(0.999)))
     start = max(t, dist.support[0] * (1 + 1e-12))
     if not _rate_nondecreasing(dist.hazard, start, hi):
@@ -105,9 +111,7 @@ def residual_bound_check(dist, t: float, tol: float = 1e-8) -> ClaimReport:
     points = [("weighted_residual_extropy", t)]
     if js_by_quadrature:
         points.append(("dynamic_survival_extropy", t))
-    values, error = _batched_measures(dist, points)
-    if error is not None:
-        raise error
+    values = _raise_first(measure_points(dist, points, force_quadrature=True))
     lhs_mv = values[0]
     js = values[1] if js_by_quadrature else dynamic_survival_extropy(dist, t)
     if lhs_mv.diverged or js.diverged:
@@ -494,10 +498,8 @@ def constancy_explorer(family, t_grid) -> ConstancyReport:
     else:
         raise ValidationError(
             "constancy_explorer accepts a pareto member or a ConstancyODEFamily")
-    measured, error = _batched_measures(
-        dist, [("weighted_residual_extropy", t) for t in grid])
-    if error is not None:
-        raise error
+    measured = _raise_first(measure_points(
+        dist, [("weighted_residual_extropy", t) for t in grid], force_quadrature=True))
     values = tuple(mv.value for mv in measured)
     spread = max(values) - min(values)
     max_dev = None if reference is None else max(abs(v - reference) for v in values)

@@ -33,6 +33,7 @@ from .quadrature import (
     Estimate,
     EvaluationBudgetError,
     EvaluationError,
+    _raise_first,
 )
 from .reporting import VIOLATED
 
@@ -196,11 +197,10 @@ def _cmd_measure(args: argparse.Namespace):
     if not measures:
         raise ds.ValidationError(
             f"--measure required; valid measures: {', '.join(ms.MEASURE_IDS)}")
-    force = args.method == "quadrature"
-    rows = []
-    for mid in measures:
-        mv = ms.compute_measure(dist, mid, t=args.t, force_quadrature=force, tol=tol)
-        rows.append({"measure": mid, **_mv_row(mv)})
+    values = _raise_first(ms.measure_points(
+        dist, [(mid, args.t) for mid in measures],
+        force_quadrature=args.method == "quadrature", tol=tol))
+    rows = [{"measure": mid, **_mv_row(mv)} for mid, mv in zip(measures, values)]
     return {"command": "measure", "dist": dist.label}, rows
 
 
@@ -217,16 +217,19 @@ def _cmd_curve(args: argparse.Namespace):
         raise ds.ValidationError(
             f"{mid!r} is not t-indexed; t-indexed measures: "
             + ", ".join(ms.T_INDEXED_MEASURES))
-    force = args.method == "quadrature"
+    grid = [float(t) for t in _parse_grid(args, dist)]
+    outcomes = ms.measure_points(dist, [(mid, t) for t in grid],
+                                 force_quadrature=args.method == "quadrature", tol=tol)
     rows = []
-    for t in _parse_grid(args, dist):
-        row = {"t": float(t), "value": None, "abs_error": None,
+    for t, mv in zip(grid, outcomes):
+        row = {"t": t, "value": None, "abs_error": None,
                "method": None, "diverged": None, "error": ""}
-        try:
-            mv = ms.compute_measure(dist, mid, t=float(t), force_quadrature=force, tol=tol)
+        if isinstance(mv, Estimate):
             row.update(_mv_row(mv))
-        except (ms.DomainError, ds.ValidationError) as exc:
-            row["error"] = str(exc)
+        elif isinstance(mv, ms.DomainError):
+            row["error"] = str(mv)
+        else:
+            raise mv
         rows.append(row)
     return {"command": "curve", "dist": dist.label, "measure": mid}, rows
 
@@ -298,6 +301,8 @@ def _cmd_mc(args: argparse.Namespace):
     spec = _load_spec(args.dist[0])
     if args.n < 2:
         raise ds.ValidationError("mc needs --n >= 2")
+    if args.seed < 0:
+        raise ds.ValidationError("mc needs --seed >= 0")
     rng = np.random.default_rng(args.seed)
     rows = []
     if isinstance(spec, dict) and spec.get("family") in ("bivariate_beta", "product"):
@@ -319,9 +324,10 @@ def _cmd_mc(args: argparse.Namespace):
                 f"(got {', '.join(bad)})")
         xs = dist.sample(rng, args.n)
         fvals = dist.pdf(xs)
-        for mid in wanted:
+        refs = _raise_first(ms.measure_points(dist, [(mid, None) for mid in wanted],
+                                              force_quadrature=True))
+        for mid, ref in zip(wanted, refs):
             samples = -0.5 * fvals if mid == "extropy" else -0.5 * xs * fvals
-            ref = ms.compute_measure(dist, mid, force_quadrature=True)
             rows.append(_mc_row(mid, samples, ref))
         label = dist.label
     return {"command": "mc", "dist": label, "n": args.n, "seed": args.seed}, rows

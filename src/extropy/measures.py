@@ -22,15 +22,14 @@ integrand g (f^2, x f^2 or sf^2); ``MEASURE_IDS`` and
 used when available; every identifier honours ``force_quadrature=True``,
 which forces the numeric path.  All finite values are non-positive.
 
-Every quadrature of this module goes through one function,
-``_batched_measures``: one engine batch of (measure id, t) points, which
-may differ in range, normaliser and integrand.  A public measure is its
-batch of one point.  Callers that already know several integrals batch
-them: the 20 points of a Ridders stencil together with Jw at t, the three
-sides of the decomposition, the grid of ``claims.constancy_explorer``, and
-Jw(X_t) with Js(X_t) in ``claims.residual_bound_check``.  A point gives
-the same value in any batch, and a batch fails at the point where a loop
-over the public measures would.  Curves still take one call per t.
+Every measure goes through one function, :func:`measure_points`: one
+outcome per (measure id, t) point, an Estimate or the exception that point
+raises, with every point that needs quadrature in one engine batch.  A
+public measure is its call of one point.  Callers that know several
+integrals make one call: a CLI curve, a Ridders stencil with Jw at t, the
+decomposition, the grid of ``claims.constancy_explorer``, and Jw(X_t)
+with Js(X_t) in ``claims.residual_bound_check``.  A point gives the same
+outcome in any call, and a point that fails fails alone.
 
 Every result is a :class:`~extropy.quadrature.Estimate`, whose
 ``evaluations`` counts the integrand points spent (0 for a closed form).
@@ -53,7 +52,8 @@ from .quadrature import (
     DEFAULT_TOL,
     Estimate,
     Integrand,
-    _integrate_leading,
+    _integrate_members,
+    _raise_first,
     _rows,
     differentiate,
 )
@@ -74,6 +74,7 @@ __all__ = [
     "weighted_past_extropy",
     "dynamic_survival_extropy",
     "compute_measure",
+    "measure_points",
     "weighted_residual_derivative",
     "weighted_past_derivative",
     "decomposition_check",
@@ -206,69 +207,62 @@ MEASURE_IDS = tuple(_MEASURES)
 T_INDEXED_MEASURES = tuple(m for m, (mode, _) in _MEASURES.items() if mode is not None)
 
 
-def _measure(measure_id: str, dist, t: float | None, force_quadrature: bool,
-             tol: float) -> Estimate:
-    """-(1/(2 norm^2)) int g over the measure's range: the domain check
-    first, then the catalog closed form, else the batch of this one point."""
-    if not force_quadrature and dist.closed_forms.get(measure_id) is not None:
-        # The batch checks the domain of the points it integrates.
-        mode = _MEASURES[measure_id][0]
-        if mode is not None:
-            ConditionalLifetime(dist, mode, t)
-        cf = closed_form(dist, measure_id, t=t)
-        if cf is not None:
-            return Estimate(cf, 0.0, 0, math.isinf(cf), "closed-form")
-    values, error = _batched_measures(dist, [(measure_id, t)], tol)
-    if error is not None:
-        raise error
-    return values[0]
+def measure_points(dist, points, *, force_quadrature: bool = False,
+                   tol: float = DEFAULT_TOL) -> list[Estimate | Exception]:
+    """Measures of ``dist`` at ``points``, (measure id, t) pairs: one
+    outcome per point, its :class:`Estimate` or the exception it raises.
 
-
-def _batched_measures(dist, points, tol: float = DEFAULT_TOL
-                      ) -> tuple[list[Estimate], Exception | None]:
-    """Quadrature values of measures of ``dist`` at ``points``, (measure id,
-    t) pairs, in one engine call at ``tol``.
-
-    Each point takes its range and normaliser from the
-    :class:`ConditionalLifetime` of its point (the support and 1 for a
-    whole-support measure), and its integrand g from the table, with g's
-    hint only at the support edges its range reaches.  The evaluator hands
-    each integrand the rows of its own points, so a point's g sees the same
-    points as in an engine call of that point alone.  Returns the values at
-    the points before the first one that fails, and that error (None when
-    no point fails); no point after it is integrated.
+    Each point has its id and t checked (t is ignored by a whole-support
+    measure), then its domain, then takes the catalog closed form unless
+    ``force_quadrature``.  The points left over go to the engine as one
+    call at ``tol``, each with the range and normaliser of its
+    :class:`ConditionalLifetime` (the support and 1 for a whole-support
+    measure) and its integrand g from the table, hinted only at the
+    support edges its range reaches.  The evaluator hands each g the rows
+    of its own points, so a point sees the same points, and fails, as in
+    an engine call of that point alone.
     """
     sup_lo, sup_hi = dist.support
+    outcomes, todo = [], []
     gs = {}  # integrand maker -> its integrand of dist
-    lower, upper, norms, kinds, e_lo, e_hi, error = [], [], [], [], [], [], None
     for measure_id, t in points:
+        if measure_id not in _MEASURES:
+            outcomes.append(ValidationError(
+                f"unknown measure {measure_id!r}; valid measures: {', '.join(MEASURE_IDS)}"))
+            continue
         mode, make = _MEASURES[measure_id]
         if mode is None:
-            lo, hi, norm = sup_lo, sup_hi, 1.0
+            t, lo, hi, norm = None, sup_lo, sup_hi, 1.0
+        elif t is None:
+            outcomes.append(ValidationError(f"measure {measure_id!r} requires a time t"))
+            continue
         else:
             try:
                 cl = ConditionalLifetime(dist, mode, t)
             except DomainError as exc:
-                error = exc
-                break
+                outcomes.append(exc)
+                continue
             (lo, hi), norm = cl.bounds, cl.norm
-        g = gs.get(make)
-        if g is None:
-            g = gs[make] = make(dist)
-        lower.append(lo)
-        upper.append(hi)
-        norms.append(norm)
-        kinds.append(make)
-        e_lo.append(g.exponent_lower if lo == sup_lo else None)
-        e_hi.append(g.exponent_upper if hi == sup_hi else None)
-    if not norms:
-        return [], error
+        if not force_quadrature and dist.closed_forms.get(measure_id) is not None:
+            cf = closed_form(dist, measure_id, t=t)
+            if cf is not None:
+                outcomes.append(Estimate(cf, 0.0, 0, math.isinf(cf), "closed-form"))
+                continue
+        if make not in gs:
+            gs[make] = make(dist)
+        g = gs[make]
+        todo.append((len(outcomes), lo, hi, norm, list(gs).index(make),
+                     g.exponent_lower if lo == sup_lo else None,
+                     g.exponent_upper if hi == sup_hi else None))
+        outcomes.append(None)
+    if not todo:
+        return outcomes
+    at, lower, upper, norms, kinds, e_lo, e_hi = zip(*todo)
     if len(gs) == 1:
         evaluate = _rows(g.fn)
     else:
-        index = {make: j for j, make in enumerate(gs)}
         fns = [g.fn for g in gs.values()]
-        which = np.array([index[make] for make in kinds])
+        which = np.array(kinds)
 
         def evaluate(x, rows):
             y = np.empty_like(x)
@@ -279,13 +273,19 @@ def _batched_measures(dist, points, tol: float = DEFAULT_TOL
                     y[mine] = np.reshape(fn(x[mine].ravel()), (-1, x.shape[1]))
             return y
 
-    results, engine_error = _integrate_leading(
+    results = _integrate_members(
         evaluate, lower, upper, tol=tol, exponent_lower=e_lo, exponent_upper=e_hi,
         breakpoints=dist.breakpoints)
     # An empty range integrates to +0 with no evaluation, and stays +0.
-    values = [_scaled(r, norm) if lo < hi else r
-              for r, lo, hi, norm in zip(results, lower, upper, norms)]
-    return values, engine_error or error
+    for i, r, lo, hi, norm in zip(at, results, lower, upper, norms):
+        outcomes[i] = _scaled(r, norm) if lo < hi and type(r) is Estimate else r
+    return outcomes
+
+
+def _measure(measure_id: str, dist, t, force_quadrature: bool, tol: float) -> Estimate:
+    """The measure at one point, or its exception raised."""
+    return _raise_first(measure_points(
+        dist, [(measure_id, t)], force_quadrature=force_quadrature, tol=tol))[0]
 
 
 def extropy(dist: UnivariateDistribution, *, force_quadrature: bool = False,
@@ -331,13 +331,6 @@ def compute_measure(dist, measure_id: str, t: float | None = None, *,
                     force_quadrature: bool = False,
                     tol: float = DEFAULT_TOL) -> Estimate:
     """Dispatch a measure by identifier; t-indexed measures require t."""
-    if measure_id not in _MEASURES:
-        raise ValidationError(
-            f"unknown measure {measure_id!r}; valid measures: {', '.join(MEASURE_IDS)}")
-    if _MEASURES[measure_id][0] is None:
-        t = None
-    elif t is None:
-        raise ValidationError(f"measure {measure_id!r} requires a time t")
     return _measure(measure_id, dist, t, force_quadrature, tol)
 
 
@@ -361,20 +354,19 @@ def _fd_scale(dist, t: float, mode: str) -> float:
 def _weighted_derivative(dist, t: float, mode: str) -> DerivativeComparison:
     """d/dt of Jw(X_t) (mode "residual") or Jw(tX) (mode "past"): finite
     difference vs the two candidate identities.  The Ridders stencil and
-    Jw at t, last, are one batch."""
+    Jw at t, last, are one call."""
     measure_id = f"weighted_{mode}_extropy"
-    at_t = []
+    outcomes = []
 
     def stencil(u):
-        values, error = _batched_measures(dist, [(measure_id, s) for s in [*u.tolist(), t]])
-        at_t.extend(mv.value for mv in values[u.size:])
-        return [mv.value for mv in values[:u.size]], error
+        # The values of the points before the first failure, and its error.
+        outcomes.extend(measure_points(dist, [(measure_id, s) for s in [*u.tolist(), t]],
+                                       force_quadrature=True))
+        n = next((i for i, r in enumerate(outcomes[:u.size]) if type(r) is not Estimate), u.size)
+        return [r.value for r in outcomes[:n]], outcomes[n] if n < u.size else None
 
     num = differentiate(stencil, t, _fd_scale(dist, t, mode))
-    # The batch stops at its first failure; a stencil point that failed in
-    # a row the tableau never read leaves Jw at t to be evaluated alone.
-    jw = at_t[0] if at_t else compute_measure(dist, measure_id, t,
-                                              force_quadrature=True).value
+    jw = _raise_first(outcomes[-1:])[0].value  # Jw at t, the last point
     if mode == "residual":
         r = float(dist.hazard(np.asarray(t)))
         claimed = (r / 2.0) * (jw + t * r)
@@ -410,12 +402,9 @@ def decomposition_check(dist, t: float, tol: float = 1e-7) -> ClaimReport:
         return ClaimReport("decomposition", math.nan, math.nan, math.nan,
                            INDETERMINATE, notes=f"F(t)={F:.3e}, sf(t)={S:.3e}: "
                            "0 < F(t) < 1 required")
-    values, error = _batched_measures(dist, [
+    lhs_mv, past_mv, res_mv = _raise_first(measure_points(dist, [
         ("weighted_extropy", None), ("weighted_past_extropy", t),
-        ("weighted_residual_extropy", t)])
-    if error is not None:
-        raise error
-    lhs_mv, past_mv, res_mv = values
+        ("weighted_residual_extropy", t)], force_quadrature=True))
     if lhs_mv.diverged or past_mv.diverged or res_mv.diverged:
         return ClaimReport("decomposition", lhs_mv.value, math.nan, math.nan,
                            INDETERMINATE, notes="a component diverged")

@@ -30,8 +30,10 @@ split can touch: in two, or in four where the panel's last split barely
 reduced its error (a jump or a kink that bisection only localises), which
 saves a round.  Every decision stays per member: classification,
 divergence, the noise floor, the tolerance, the evaluation budget and the
-error raised.  A cap on the points per evaluator call bounds memory
-however large a batch is.
+error.  A member that fails stops alone, with the error it raises when
+integrated alone, and the others finish; :func:`integrate_batch` raises
+the error of its lowest-index failing member.  A cap on the points per
+evaluator call bounds memory however large a batch is.
 
 The bookkeeping of a call and of a round is a fixed set of whole-batch
 array operations, the same for one member as for thousands.  Panels live
@@ -268,8 +270,8 @@ class _Batch:
     pads), or is None when no member has any.
 
     Every member has its own evaluation budget.  A member that fails stops
-    every member after it, and the batch raises the error of its first
-    failing member, as a loop over the members would.
+    alone: ``failed`` marks it and ``errors`` holds its first error, the
+    one it raises when integrated alone.
     """
 
     def __init__(self, fn, lower, upper, budget, exponent_lower, exponent_upper,
@@ -332,12 +334,13 @@ class _Batch:
         self.any_singular = np.count_nonzero(singular) > 0
         self.used = np.zeros(size, dtype=np.int64)
         self.spent = 0
-        self.first_failure = size
-        self.error: QuadratureError | None = None
+        self.failed = np.zeros(size, dtype=bool)
+        self.errors: dict[int, QuadratureError] = {}
 
-    def fail(self, member, error: QuadratureError) -> None:
-        if member < self.first_failure:
-            self.first_failure, self.error = int(member), error
+    def fail(self, member: int, error: QuadratureError) -> None:
+        if not self.failed[member]:
+            self.failed[member] = True
+            self.errors[member] = error
 
     def probe(self, members, sides, distances):
         """Values at ``distances`` from the ``sides`` ends of ``members``, in
@@ -350,18 +353,17 @@ class _Batch:
     def values(self, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Evaluator values at points ``u`` (k, n) of the members ``rows``.
 
-        Each member is charged for its points first.  The rows of members at
-        and after a failure are evaluated with the rest of the call, and
-        dropped with their members after it.
+        Each member is charged for its points first.  The rows of a member
+        that fails are evaluated with the rest of the call, and dropped
+        with their member after it.
         """
         n = u.shape[1]
         np.add.at(self.used, rows, n)
         # No member has used more points than all of them together.
         self.spent += rows.size * n
         if self.spent > self.budget:
-            over = self.used > self.budget
-            if np.count_nonzero(over):
-                self.fail(over.argmax(), EvaluationBudgetError(
+            for m in ((self.used > self.budget) & ~self.failed).nonzero()[0].tolist():
+                self.fail(m, EvaluationBudgetError(
                     f"evaluation budget of {self.budget} points exhausted"))
         step = max(1, _MAX_POINTS // n)
         chunks = [self._evaluate(u[s:s + step], rows[s:s + step])
@@ -369,10 +371,9 @@ class _Batch:
         y = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         finite = np.isfinite(y)
         if np.count_nonzero(finite) < y.size:
-            bad = (~finite.all(axis=1) & (rows < self.first_failure)).nonzero()[0]
-            if bad.size:
-                r = bad[rows[bad].argmin()]
-                self.fail(rows[r], EvaluationError(
+            # A member's first bad row names its point.
+            for r in (~finite.all(axis=1) & ~self.failed[rows]).nonzero()[0].tolist():
+                self.fail(int(rows[r]), EvaluationError(
                     f"integrand non-finite at interior point x={u[r][~finite[r]][0]!r}"))
         return y
 
@@ -453,8 +454,8 @@ def detect_divergence(g: Integrand, budget: int = DEFAULT_BUDGET) -> dict[str, s
                        np.array([g.upper], dtype=float), budget, g.exponent_lower,
                        g.exponent_upper, g.singular_lower, g.singular_upper)
         status = _classify(batch)
-    if batch.error is not None:
-        raise batch.error
+    if batch.errors:
+        raise batch.errors[0]
     sides = _SIDES[::-1] if math.isinf(g.lower) else _SIDES  # reflected: sides swap
     return {side: _STATUS[code] for side, code in zip(sides, status[0]) if code >= 0}
 
@@ -474,12 +475,11 @@ def _resolve_divergent(batch: _Batch, status):
     value = np.full(batch.size, np.nan)
     side = np.where(decided[:, 0], 0, 1)
     code = status[np.arange(batch.size), side]
-    undecided = (code == 2).nonzero()[0]
-    if undecided.size:
-        batch.fail(undecided[0], DivergenceUndecidedError(
-            f"cannot classify singular {_SIDES[side[undecided[0]]]} endpoint: "
+    for m in (code == 2).nonzero()[0].tolist():
+        batch.fail(m, DivergenceUndecidedError(
+            f"cannot classify singular {_SIDES[side[m]]} endpoint: "
             "local exponent too close to -1"))
-    members = ((code == 1) & (np.arange(batch.size) < batch.first_failure)).nonzero()[0]
+    members = ((code == 1) & ~batch.failed).nonzero()[0]
     if members.size:
         s = np.sign(batch.probe(members, side[members], _PROBE)[0].sum(axis=1))
         value[members] = np.where(s == 0.0, 1.0, s) * math.inf
@@ -745,20 +745,15 @@ class _Rounds:
             self._climb(ids, tab, n, ra, rb, ok, *ve)
         return v[:k], e[:k]
 
-    def _prune(self):
-        """Stop the members at and after the batch's first failure."""
-        f = self.batch.first_failure
-        self.running[f:] = False
-        if self.nlive:
-            self.live &= self.lm < f
-            self.nlive = np.count_nonzero(self.live)
-
     def run(self):
         b, tol = self.batch, self.tol
         size = b.size
         while True:
-            if b.first_failure < size:
-                self._prune()
+            if b.errors:  # stop the members that failed, and their ladders
+                self.running &= ~b.failed
+                if self.nlive:
+                    self.live &= ~b.failed[self.lm]
+                    self.nlive = np.count_nonzero(self.live)
             if not np.count_nonzero(self.running):
                 return
             pm, F = self.pm[:self.n], self.F[:, :self.n]
@@ -781,14 +776,13 @@ class _Rounds:
             # tolerance.
             free = np.where(ready, limit - self.floor, np.inf)
             if self.floored:
+                # A stuck member is ready, so it has no ladder left to stop.
                 stuck = free < 0.0
-                if np.count_nonzero(stuck):
-                    m = stuck.argmax()
+                for m in stuck.nonzero()[0].tolist():
                     b.fail(m, EvaluationBudgetError(
                         "tolerance unreachable: residual error "
                         f"{self.floor[m]:.3e} cannot be reduced by further subdivision"))
-                    self._prune()
-                    free[b.first_failure:] = np.inf
+                free[stuck] = np.inf
             # Split every panel whose error exceeds its member's share of the
             # free tolerance.
             share = _SPLIT_SHARE * free / np.bincount(pm, F[_LIVE], size)
@@ -867,25 +861,29 @@ def integrate_batch(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_
     is an empty range and integrates to 0.  Each member gets ``budget``
     evaluations, meets its own tolerance and may diverge on its own, as
     :func:`integrate` of that member alone would; the batch raises the
-    error of its first failing member.
+    error of its lowest-index failing member.
     """
-    results, error = _integrate_leading(
+    return _raise_first(_integrate_members(
         fn, lower, upper, tol=tol, budget=budget, exponent_lower=exponent_lower,
         exponent_upper=exponent_upper, singular_lower=singular_lower,
-        singular_upper=singular_upper, breakpoints=breakpoints)
-    if error is not None:
-        raise error
-    return results
+        singular_upper=singular_upper, breakpoints=breakpoints))
 
 
-def _integrate_leading(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
+def _raise_first(outcomes: list) -> list[Estimate]:
+    """``outcomes``, all Estimates, or the first exception among them raised."""
+    for r in outcomes:
+        if type(r) is not Estimate:
+            raise r
+    return outcomes
+
+
+def _integrate_members(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
                        exponent_lower=None, exponent_upper=None,
                        singular_lower=False, singular_upper=False,
-                       breakpoints=()) -> tuple[list[Estimate], QuadratureError | None]:
-    """:func:`integrate_batch`, returning its first failing member's error
-    instead of raising it, with the results of the members before that one
-    (the members after it are not finished).  The error is None when no
-    member fails."""
+                       breakpoints=()) -> list[Estimate | QuadratureError]:
+    """:func:`integrate_batch`, with one outcome per member: its
+    :class:`Estimate`, or the :class:`QuadratureError` that member raises
+    when integrated alone.  A failing member stops alone."""
     lower = np.array(lower, dtype=float, ndmin=1)
     upper = np.array(upper, dtype=float, ndmin=1)
     if lower.shape != upper.shape:
@@ -901,18 +899,19 @@ def _integrate_leading(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAU
         if batch.any_singular:
             diverged, infinite = _resolve_divergent(batch, _classify(batch))
             run &= ~diverged
-        run[batch.first_failure:] = False
+        run &= ~batch.failed
         rounds = _Rounds(batch, run, tol)
         rounds.run()
-    f = batch.first_failure
-    value, error, flags = rounds.value[:f], rounds.error[:f], [False] * f
+    value, error, flags = rounds.value, rounds.error, [False] * batch.size
     if infinite is not None:
-        diverged = diverged[:f]
-        value = np.where(diverged, infinite[:f], value)
+        value = np.where(diverged, infinite, value)
         error = np.where(diverged, math.inf, error)
         flags = diverged.tolist()
-    return [Estimate(*r) for r in zip(value.tolist(), error.tolist(),
-                                      batch.used[:f].tolist(), flags)], batch.error
+    results = [Estimate(*r) for r in zip(value.tolist(), error.tolist(),
+                                         batch.used.tolist(), flags)]
+    for m, exc in batch.errors.items():
+        results[m] = exc
+    return results
 
 
 def _rows(fn):

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import UnivariateDistribution, ValidationError
+from .distributions import UnivariateDistribution, ValidationError, _require_finite
 from .measures import (
     ConditionalLifetime,
     DomainError,
@@ -70,9 +70,17 @@ class MonotoneTransform:
             raise ValidationError("direction must be 'increasing' or 'decreasing'")
 
 
-def scale_transform(a: float) -> MonotoneTransform:
+def _check_linear(name: str, a: float, b: float = 0.0) -> None:
+    """Reject the map x -> a x + b unless a > 0 and b >= 0, both finite."""
+    _require_finite(name, a=a, b=b)
     if not a > 0:
-        raise ValidationError("scale transform requires a > 0")
+        raise ValidationError(f"{name} requires a > 0")
+    if b < 0:
+        raise ValidationError(f"{name} requires b >= 0")
+
+
+def scale_transform(a: float) -> MonotoneTransform:
+    _check_linear("scale transform", a)
     return MonotoneTransform(
         lambda x: a * np.asarray(x, dtype=float),
         lambda y: np.asarray(y, dtype=float) / a,
@@ -81,10 +89,7 @@ def scale_transform(a: float) -> MonotoneTransform:
 
 
 def affine_transform(a: float, b: float) -> MonotoneTransform:
-    if not a > 0:
-        raise ValidationError("affine transform requires a > 0")
-    if b < 0:
-        raise ValidationError("affine transform requires b >= 0")
+    _check_linear("affine transform", a, b)
     return MonotoneTransform(
         lambda x: a * np.asarray(x, dtype=float) + b,
         lambda y: (np.asarray(y, dtype=float) - b) / a,
@@ -206,10 +211,7 @@ def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> Estimate:
 
 def linear_transform_extropy(dist, a: float, b: float) -> tuple[Estimate, Estimate]:
     """Exact extropy and weighted extropy of aX + b (a > 0, b >= 0)."""
-    if not a > 0:
-        raise ValidationError("linear transform requires a > 0")
-    if b < 0:
-        raise ValidationError("linear transform requires b >= 0")
+    _check_linear("linear transform", a, b)
     j = extropy(dist)
     jw = weighted_extropy(dist)
     method = "closed-form" if j.method == jw.method == "closed-form" else "quadrature"
@@ -227,7 +229,8 @@ def transformed_residual_past(dist, tr: MonotoneTransform,
     t must lie in the transformed support.
     """
     _check_transform(dist, tr)
-    xt = float(tr.phi_inverse(np.asarray(t, dtype=float)))
+    with np.errstate(all="ignore"):  # NaN or inf outside the image: rejected below
+        xt = float(tr.phi_inverse(np.asarray(t, dtype=float)))
     lo, hi = dist.support
     if not (lo < xt < hi) or not math.isfinite(xt):
         raise DomainError(

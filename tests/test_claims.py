@@ -29,6 +29,7 @@ from extropy.claims import (
 )
 from extropy.distributions import (
     ValidationError,
+    beta_dist,
     exponential,
     gamma_dist,
     pareto,
@@ -73,6 +74,14 @@ class TestResidualBound:
         rep = residual_bound_check(pareto(2.0, 1.0), 2.0)
         assert rep.verdict == "indeterminate"
         assert "precondition" in rep.notes
+
+    @pytest.mark.parametrize("dist,t", [(beta_dist(0.7, 0.8), 5.0), (exponential(1.0), 50.0)])
+    def test_past_the_support_is_indeterminate(self, dist, t):
+        # sf(t) is 0 (or below BOUNDARY_EPS): no conditional lifetime, and no
+        # hazard grid from t down to the 0.999 quantile.
+        rep = residual_bound_check(dist, t)
+        assert rep.verdict == "indeterminate"
+        assert rep.notes.startswith("sf(t)=") and "precondition" not in rep.notes
 
     def test_holds_across_catalog_with_monotone_hazard(self):
         for dist in (exponential(1.0), gamma_dist(2.0, 1.0), gamma_dist(3.0, 0.5),

@@ -8,10 +8,12 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import run_cli
 from extropy import cli
+from extropy import measures as ms
 
 EXP1 = '{"family":"exponential","params":{"rate":1}}'
 U13 = '{"family":"uniform","params":{"a":1,"b":3}}'
@@ -141,6 +143,20 @@ class TestCurveCommand:
         assert rows[0]["error"] != "" and rows[0]["value"] is None
         assert rows[1]["error"] == "" and rows[1]["value"] is not None
 
+    def test_grid_is_one_engine_call(self, monkeypatch):
+        members = []
+        real = ms._integrate_members
+
+        def counting(fn, lower, upper, **kwargs):
+            members.append(np.size(lower))
+            return real(fn, lower, upper, **kwargs)
+
+        monkeypatch.setattr(ms, "_integrate_members", counting)
+        code, out, _ = run_cli("curve", "--dist", EXP1, "--measure", "residual_extropy",
+                               "--grid", "0.5:3:5", "--method", "quadrature")
+        assert code == 0 and len(rows_of(out)) == 5
+        assert members == [5]
+
     def test_non_t_indexed_rejected(self):
         code, _, err = run_cli("curve", "--dist", EXP1, "--measure", "extropy")
         assert code == 2
@@ -212,6 +228,14 @@ class TestTransformCommand:
         doc = json.loads(err)["error"]
         assert doc["type"] == "validation"
         assert doc["class"] == "TransformDegeneracyError"
+
+    @pytest.mark.parametrize("name", ["scale:inf", "affine:1,inf"])
+    def test_non_finite_parameter_exit_2(self, name):
+        code, out, err = run_cli("transform", "--dist", EXP1, "--transform", name)
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert (doc["type"], doc["class"]) == ("validation", "ValidationError")
+        assert "requires finite" in doc["message"]
 
     def test_unknown_transform(self):
         code, _, err = run_cli("transform", "--dist", EXP1, "--transform", "cube")
@@ -337,6 +361,12 @@ class TestMonteCarloCommand:
         code, _, err = run_cli("mc", "--dist", EXP1,
                                "--measure", "residual_extropy", "--n", "1000")
         assert code == 2
+
+    def test_negative_seed_is_validation_error(self):
+        code, out, err = run_cli("mc", "--dist", EXP1, "--n", "10", "--seed", "-1")
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "validation" and "--seed" in doc["message"]
 
 
 class TestOutputContract:

@@ -3,7 +3,9 @@ when the transcript was taken.
 
 ``tests/cli_transcript.json`` holds argv, exit code, stdout and stderr of
 each call, and the numpy version it was taken with.  Each call is replayed
-in-process through ``extropy.cli.main`` and compared byte for byte.  The
+in-process through ``extropy.cli.main`` and compared byte for byte, and
+every pinned stderr keeps the README's contract: empty on exit 0, one JSON
+error document of the exit code's type on exit 2 or 3.  The
 file is regenerated only by ``scripts/cli_transcript.py --write``, so a
 change that moves a digit shows as a diff of the file.
 """
@@ -27,3 +29,16 @@ def test_cli_call_is_byte_identical(entry):
     assert code == entry["exit"], context
     assert out == entry["stdout"], context
     assert err == entry["stderr"], context
+
+
+@pytest.mark.parametrize("entry", TRANSCRIPT["calls"], ids=lambda e: e["name"])
+def test_stderr_is_empty_or_one_error_document(entry):
+    if entry["exit"] == 0:
+        assert entry["stderr"] == ""
+        return
+    kind = {2: "validation", 3: "numerical"}[entry["exit"]]
+    assert entry["stderr"].endswith("}\n") and entry["stderr"].count("\n") == 1
+    doc = json.loads(entry["stderr"])
+    assert list(doc) == ["error"]
+    assert set(doc["error"]) == {"type", "class", "message"}
+    assert doc["error"]["type"] == kind

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from extropy import measures as ms
 from extropy.claims import residual_bound_check
 from extropy.distributions import (
+    ValidationError,
     beta_dist,
     exponential,
     gamma_dist,
@@ -388,21 +389,22 @@ class TestBatchedStencil:
                 weighted_residual_derivative(dist, 0.5)
             assert str(batched.value) == str(serial.value)
 
-    def test_batch_error_is_the_first_failing_point(self):
+    def test_a_failing_point_fails_alone(self):
         # A density that is NaN above 2 fails every residual integral past
-        # it with the engine's error, and the batch stops at the first.
+        # it with the engine's error; the points after it still give the
+        # public measures.
         base = exponential(1.0)
         dist = dataclasses.replace(
             base, pdf=lambda x: np.where(np.asarray(x) > 2.0, math.nan, base.pdf(x)))
-        values, error = ms._batched_measures(
-            dist, [("weighted_past_extropy", 1.0), ("weighted_residual_extropy", 1.0),
-                   ("weighted_past_extropy", 1.5)])
-        assert values == [weighted_past_extropy(dist, 1.0)]
-        assert type(error) is EvaluationError
+        outcomes = ms.measure_points(
+            dist, [("weighted_residual_extropy", 1.0), ("weighted_past_extropy", 1.0),
+                   ("weighted_past_extropy", 1.5)], force_quadrature=True)
+        assert type(outcomes[0]) is EvaluationError
         with pytest.raises(EvaluationError) as serial:
             weighted_residual_extropy(dist, 1.0, force_quadrature=True)
-        assert str(error) == str(serial.value)
-
+        assert str(outcomes[0]) == str(serial.value)
+        assert outcomes[1] == weighted_past_extropy(dist, 1.0, force_quadrature=True)
+        assert outcomes[2] == weighted_past_extropy(dist, 1.5, force_quadrature=True)
 
     @pytest.mark.parametrize("dist,t", [(gamma_dist(2.0, 1.0), 1.0),
                                         (exponential(1.0), 0.5),
@@ -411,13 +413,13 @@ class TestBatchedStencil:
         # Jw(X_t) and Js(X_t), two integrands, run as one engine call and
         # give the two public measures bit for bit.
         members = []
-        real = ms._integrate_leading
+        real = ms._integrate_members
 
         def counting(fn, lower, upper, **kwargs):
             members.append(np.size(lower))
             return real(fn, lower, upper, **kwargs)
 
-        monkeypatch.setattr(ms, "_integrate_leading", counting)
+        monkeypatch.setattr(ms, "_integrate_members", counting)
         rep = residual_bound_check(dist, t)
         monkeypatch.undo()
         assert members == [2] and rep.verdict != "indeterminate"
@@ -432,13 +434,13 @@ class TestBatchedStencil:
         dist = dataclasses.replace(base, closed_forms={
             **base.closed_forms, "dynamic_survival_extropy": lambda t: -0.25})
         members = []
-        real = ms._integrate_leading
+        real = ms._integrate_members
 
         def counting(fn, lower, upper, **kwargs):
             members.append(np.size(lower))
             return real(fn, lower, upper, **kwargs)
 
-        monkeypatch.setattr(ms, "_integrate_leading", counting)
+        monkeypatch.setattr(ms, "_integrate_members", counting)
         rep = residual_bound_check(dist, 0.5)
         monkeypatch.undo()
         assert members == [1]
@@ -512,16 +514,61 @@ class TestDispatch:
         # One engine call of one member, whose result counts the integrand
         # points it spent.
         members = []
-        real = ms._integrate_leading
+        real = ms._integrate_members
 
         def counting(fn, lower, upper, **kwargs):
             members.append(np.size(lower))
             return real(fn, lower, upper, **kwargs)
 
-        monkeypatch.setattr(ms, "_integrate_leading", counting)
+        monkeypatch.setattr(ms, "_integrate_members", counting)
         r = compute_measure(beta_dist(0.7, 0.8), mid, t, force_quadrature=True)
         assert members == [1]
         assert r.method == "quadrature" and r.evaluations > 0
+
+    def test_measure_points_gives_one_outcome_per_point(self, monkeypatch):
+        # A point whose integral meets a NaN region (the density is NaN
+        # above 2), a point outside the domain and a closed-form point each
+        # give their own outcome; every quadrature point runs in one engine
+        # call, and every other point is the public measure bit for bit.
+        base = exponential(1.0)
+        dist = dataclasses.replace(
+            base, pdf=lambda x: np.where(np.asarray(x) > 2.0, math.nan, base.pdf(x)))
+        points = [("residual_extropy", 1.0), ("past_extropy", 0.5),
+                  ("residual_extropy", 100.0), ("weighted_extropy", None),
+                  ("weighted_past_extropy", 1.0), ("dynamic_survival_extropy", 0.7),
+                  ("weighted_past_extropy", 1.5)]
+        members = []
+        real = ms._integrate_members
+
+        def counting(fn, lower, upper, **kwargs):
+            members.append(np.size(lower))
+            return real(fn, lower, upper, **kwargs)
+
+        monkeypatch.setattr(ms, "_integrate_members", counting)
+        outcomes = ms.measure_points(dist, points)
+        monkeypatch.undo()
+        assert members == [5]
+        assert type(outcomes[0]) is EvaluationError
+        assert type(outcomes[2]) is DomainError
+        assert outcomes[3].method == "closed-form"
+        for (mid, t), r in zip(points, outcomes):
+            if isinstance(r, Exception):
+                with pytest.raises(type(r)) as alone:
+                    compute_measure(dist, mid, t)
+                assert str(alone.value) == str(r)
+                continue
+            one = compute_measure(dist, mid, t)
+            assert (r.value.hex(), r.abs_error.hex(), r.evaluations, r.diverged, r.method) \
+                == (one.value.hex(), one.abs_error.hex(), one.evaluations, one.diverged,
+                    one.method), (mid, t)
+
+    def test_measure_points_validates_each_point(self):
+        outcomes = ms.measure_points(exponential(1.0), [
+            ("entropy", 1.0), ("residual_extropy", None), ("extropy", 5.0)])
+        assert [type(r) for r in outcomes[:2]] == [ValidationError, ValidationError]
+        assert "valid measures" in str(outcomes[0]) and "requires a time" in str(outcomes[1])
+        # A whole-support measure ignores t.
+        assert outcomes[2] == extropy(exponential(1.0))
 
     def test_closed_form_spends_no_evaluation(self):
         r = compute_measure(exponential(1.0), "weighted_extropy")

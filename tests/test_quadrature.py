@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from extropy.bivariate import iterated_integral
 from extropy.quadrature import (
     DivergenceUndecidedError,
+    Estimate,
     EvaluationBudgetError,
     EvaluationError,
     Integrand,
+    _integrate_members,
     detect_divergence,
     differentiate,
     integrate,
@@ -175,12 +177,12 @@ MIXED = [
 
 
 class TestIntegrateBatch:
-    def _batch(self, rows, **kw):
+    def _batch(self, rows, engine=integrate_batch, **kw):
         hints = {key: [row[3].get(key) for row in rows]
                  for key in ("exponent_lower", "exponent_upper")}
         flags = {key: [row[3].get(key, False) for row in rows]
                  for key in ("singular_lower", "singular_upper")}
-        return integrate_batch(_dispatch([row[0] for row in rows]),
+        return engine(_dispatch([row[0] for row in rows]),
                                [row[1] for row in rows], [row[2] for row in rows],
                                tol=[row[4] for row in rows], **hints, **flags, **kw)
 
@@ -220,6 +222,30 @@ class TestIntegrateBatch:
                 (lambda x: np.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, np.inf, {}, 1e-13)]
         with pytest.raises(EvaluationError):
             self._batch(rows, budget=500)
+
+    def test_each_member_fails_alone(self):
+        # [ok, non-finite, ok, over budget, ok]: each member's outcome is
+        # what integrating it alone gives, bit for bit or error for error.
+        nan_above_half = (lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, {}, 1e-10)
+        oscillating = (lambda x: np.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, np.inf, {}, 1e-13)
+        rows = [MIXED[0], nan_above_half, MIXED[2], oscillating, MIXED[4]]
+        budget = 2000
+        outcomes = self._batch(rows, engine=_integrate_members, budget=budget)
+        assert [type(r) for r in outcomes] == [
+            Estimate, EvaluationError, Estimate, EvaluationBudgetError, Estimate]
+        for (fn, lo, hi, h, tol), r in zip(rows, outcomes):
+            g = Integrand(fn, lo, hi, **h)
+            if isinstance(r, Exception):
+                with pytest.raises(type(r)) as alone:
+                    integrate(g, tol=tol, budget=budget)
+                assert str(alone.value) == str(r)
+                continue
+            alone = integrate(g, tol=tol, budget=budget)
+            assert (r.value.hex(), r.abs_error.hex(), r.evaluations, r.diverged) == (
+                alone.value.hex(), alone.abs_error.hex(), alone.evaluations, alone.diverged)
+        with pytest.raises(EvaluationError) as batch:
+            self._batch(rows, budget=budget)
+        assert str(batch.value) == str(outcomes[1])
 
     def test_breakpoints_cut_every_kind_of_member(self):
         # One jump per member: finite, mapped onto (0, 1) and reflected.

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,22 @@ class TestLinearRules:
         with pytest.raises(ValidationError):
             linear_transform_extropy(exponential(1.0), 1.0, -2.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: scale_transform(math.inf),
+        lambda: scale_transform(math.nan),
+        lambda: affine_transform(math.inf, 0.0),
+        lambda: affine_transform(1.0, math.inf),
+        lambda: affine_transform(1.0, math.nan),
+        lambda: linear_transform_extropy(exponential(1.0), math.inf, 0.0),
+        lambda: linear_transform_extropy(exponential(1.0), 1.0, math.inf),
+        lambda: linear_transform_extropy(exponential(1.0), math.nan, 0.0),
+    ], ids=["scale-inf", "scale-nan", "affine-a-inf", "affine-b-inf", "affine-b-nan",
+            "linear-a-inf", "linear-b-inf", "linear-a-nan"])
+    def test_non_finite_parameters_rejected(self, make):
+        # inf passes the a > 0 and b >= 0 checks; it must not reach the engine.
+        with pytest.raises(ValidationError, match="requires finite"):
+            make()
+
 
 class TestTransformedResidualPast:
     def test_identity_reproduces_residual_curve(self):
@@ -191,6 +209,17 @@ class TestTransformedResidualPast:
     def test_t_outside_image_rejected(self):
         with pytest.raises(DomainError):
             transformed_residual_past(uniform(0, 1), scale_transform(2.0), 3.0)
+
+    @pytest.mark.parametrize("make,t", [(pit_transform, 2.0),
+                                        (lambda d: square_transform(), -1.0),
+                                        (lambda d: exp_transform(), 0.0)],
+                             ids=["pit", "square", "exp"])
+    def test_t_outside_image_warns_nothing(self, make, t):
+        # phi_inverse(t) is NaN or -inf here; the suite turns a numpy
+        # warning into a failure, so only the DomainError may come out.
+        d = exponential(1.0)
+        with pytest.raises(DomainError, match="outside the base support"):
+            transformed_residual_past(d, make(d), t)
 
 
 class TestValidation:
