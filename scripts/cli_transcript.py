@@ -39,9 +39,11 @@ EXP1 = '{"family":"exponential","params":{"rate":1}}'
 GAMMA = '{"family":"gamma","params":{"alpha":2,"beta":1}}'
 PARETO = '{"family":"pareto","params":{"shape":2,"scale":1}}'
 UNIFORM = '{"family":"uniform","params":{"a":0,"b":1}}'
-# A beta member whose upper-edge ladder sits on its noise floor: tight
-# residual integrals raise "tolerance unreachable".
-BETA_FLOOR = '{"family":"beta","params":{"alpha":4.05,"beta":0.71}}'
+# Numerical failures (exit 3): past_extropy of this pareto member raises
+# "tolerance unreachable" at t of 1e12 and more, and at this exponential
+# rate the power-law fit of the mapped tail cannot classify its end.
+PARETO_WIDE = '{"family":"pareto","params":{"shape":0.3,"scale":1}}'
+EXP_UNDECIDED = '{"family":"exponential","params":{"rate":0.000631}}'
 
 # One member per family, each with t = 0.7 inside its support.
 FAMILY_MEMBERS = {
@@ -154,11 +156,11 @@ def calls() -> list[tuple[str, list[str]]]:
     # A batched curve raises the first numerical error in t order.
     out += [
         ("exit3-curve-tolerance-unreachable",
-         ["curve", "--dist", BETA_FLOOR, "--measure", "weighted_residual_extropy",
-          "--grid", "0.5:0.99:5", "--method", "quadrature", "--tol", "1e-12"]),
+         ["curve", "--dist", PARETO_WIDE, "--measure", "past_extropy",
+          "--grid", "1e3:3e13:5", "--method", "quadrature"]),
         ("exit3-claims-lemma1-residual",
-         ["claims", "--dist", BETA_FLOOR, "--claims", "lemma1_residual",
-          "--grid", "0.3:0.9:4"]),
+         ["claims", "--dist", EXP_UNDECIDED, "--claims", "lemma1_residual",
+          "--grid", "100:3000:4"]),
     ]
     return out
 

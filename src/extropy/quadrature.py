@@ -6,34 +6,36 @@ broadcasting evaluator, each with its own interval, endpoint hints and
 tolerance.  :func:`integrate` is its batch of one.  The engine copes with
 the three awkward integrand classes that lifetime densities produce:
 
-* unbounded limits, removed by the substitution x = a + u/(1-u) that maps
-  (a, inf) onto (0, 1);
-* integrable endpoint singularities (local power behaviour x**p with
-  p > -1), handled by a ladder of geometrically shrinking panels toward
-  the endpoint plus a geometric-series estimate of the unresolved
-  remainder;
+* unbounded limits, removed by the substitution x = a + s u/(1-u) that
+  maps (a, inf) onto (0, 1);
+* integrable endpoint singularities, local power behaviour |x - end|**p
+  with -1 < p < 0, resolved by weighted end panels: the panel touching
+  such an end takes a Gauss-Jacobi pair for the weight |x - end|**p, as
+  QUADPACK's ``qaws`` does (Piessens et al., 1983), with nodes from the
+  Golub-Welsch eigenvalue method (Math. Comp. 23 (1969) 221-230);
 * non-integrable endpoints, classified before any panel work by an
   analytic exponent hint or a local power-law fit (:func:`detect_divergence`)
   and reported as a diverged result rather than an error.
 
-The panel rule is the 15-point Kronrod extension of 7-point Gauss.  Work
-goes in rounds, and each round is one evaluator call over a (k, 15) array
-of panels from every member still running, as in scipy's ``quad_vec``
-(compare Gander & Gautschi, BIT 40 (2000)).  The first round holds every
-member's initial partition, cut at its breakpoints (points where the
-integrand may jump, as in QUADPACK's ``qagp``), and the first six rungs of
-each singular ladder; each later round holds the next six rungs of every
-unfinished ladder and the pieces of every panel split.  A member whose
-ladders are done and whose error exceeds its tolerance splits every panel
-whose error exceeds half its per-panel share of the tolerance that no
-split can touch: in two, or in four where the panel's last split barely
-reduced its error (a jump or a kink that bisection only localises), which
-saves a round.  Every decision stays per member: classification,
-divergence, the noise floor, the tolerance, the evaluation budget and the
-error.  A member that fails stops alone, with the error it raises when
-integrated alone, and the others finish; :func:`integrate_batch` raises
-the error of its lowest-index failing member.  A cap on the points per
-evaluator call bounds memory however large a batch is.
+A plain panel takes the 15-point Kronrod extension of 7-point Gauss; a
+weighted one takes 10 Gauss-Jacobi nodes for its estimate and 5 for its
+error, the same 15 evaluations.  Work goes in rounds, and each round is one
+evaluator call over a (k, 15) array of panels from every member still
+running, as in scipy's ``quad_vec`` (compare Gander & Gautschi, BIT 40
+(2000)).  The first round holds every member's initial partition, cut at
+its breakpoints (points where the integrand may jump, as in QUADPACK's
+``qagp``); each later round holds the pieces of every panel split.  A
+member whose error exceeds its tolerance splits every panel whose error
+exceeds half its per-panel share of the tolerance that no split can
+touch: in two, or in four where the panel's last split barely reduced its
+error (a jump or a kink that bisection only localises), which saves a
+round.  The piece of a weighted panel at its end stays weighted.  Every
+decision stays per member: classification, divergence, the noise floor,
+the tolerance, the evaluation budget and the error.  A member that fails
+stops alone, with the error it raises when integrated alone, and the
+others finish; :func:`integrate_batch` raises the error of its
+lowest-index failing member.  A cap on the points per evaluator call
+bounds memory however large a batch is.
 
 The bookkeeping of a call and of a round is a fixed set of whole-batch
 array operations, the same for one member as for thousands.  Panels live
@@ -42,7 +44,8 @@ retired in place, so each member's total and error are one ``bincount``
 over the store in that order (see :class:`_Rounds`).  Steps with nothing
 to do are skipped: cutting at breakpoints when there are none,
 classification when no end is singular, divergence when no end is
-divergent, and the unreachable-tolerance check while no error is frozen.
+divergent, weighted panels when no end is weighted, and the
+unreachable-tolerance check while no error is frozen.
 
 An :class:`Integrand`'s evaluator receives a 1-d float ndarray and returns
 an ndarray of the same shape; a batch evaluator receives the (k, n) array
@@ -162,11 +165,16 @@ class Integrand:
     declared singular, and an infinite endpoint is always singular.  On a
     singular endpoint the hint overrides the numeric power-law fit, which
     matters for integrands sitting exactly on the logarithmic boundary
-    p = -1.  ``singular_lower``/``singular_upper`` declare a singular
-    endpoint without a hint, leaving its classification to that fit.
-    ``breakpoints`` are points where ``fn`` may jump or kink: those inside
-    the interval cut the initial partition, so that no panel straddles
-    them (outside a singular end's ladder span).
+    p = -1.  A hint should describe an exact algebraic factor of ``fn``
+    times a smooth function: a finite end with -1 < p < 0, and a hinted
+    infinite tail, are integrated by panels weighted with that power.
+    ``singular_lower``/``singular_upper`` declare a singular endpoint
+    without a hint.  The fit then classifies it, and where it finds a slope
+    p with -1 + ``EXPONENT_BAND`` < p < 0 the end's panel is weighted with
+    that slope; an end where the integrand vanishes or the slope is not
+    negative starts from a plain panel.  ``breakpoints`` are points where
+    ``fn`` may jump or kink: those inside the interval cut the initial
+    partition, so that no panel straddles them.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -225,16 +233,6 @@ _MAX_POINTS = 1 << 14
 # tolerance (its tolerance minus the error that no split can reduce) per
 # active panel.
 _SPLIT_SHARE = 0.5
-_LADDER_MAX = 40
-# Rungs per ladder and round.  The ladder first consults its tail model at
-# the sixth, so the first round takes six.
-_RUNGS = 6
-_BLOCK = np.arange(_RUNGS)
-_EDGES = np.arange(_RUNGS + 1)
-# 2**-j: the distance of the far end of rung j from its endpoint, in units
-# of the ladder's span.
-_POW2 = 2.0 ** -np.arange(_LADDER_MAX + _RUNGS + 1)
-_EPS = np.finfo(float).eps
 # Distances to an endpoint, in units of a quarter of the way to the
 # midpoint, at which the power-law fit and the sign of a divergent end are
 # probed.
@@ -247,9 +245,8 @@ _PROBE = np.logspace(-1.0, -3.0, 5)
 _GRADED = np.array([0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0])
 _QUARTERS = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0])
 _PARTITIONS = np.array([_QUARTERS, _GRADED])
-_NO_BOUNDS = np.zeros(0)
 # Rows of the panel store (see _Rounds).
-_VALUE, _ERROR, _LIVE = 4, 5, 6
+_VALUE, _ERROR, _LIVE, _END = 4, 5, 6, 7
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +259,14 @@ class _Batch:
 
     A lower-infinite member is reflected (x -> -y) onto an upper-infinite
     one, whose end hints swap sides; an upper-infinite member is mapped onto
-    (0, 1) by x = a + u/(1-u), where a tail power p becomes the power
-    -(2 + p) at u = 1.  An infinite endpoint is always singular, and so is
-    an endpoint with a negative hint.  Members with ``not lower < upper``
-    are empty: they integrate to 0 without an evaluation.  ``cuts`` holds
-    each member's breakpoints inside its interval, mapped with it (NaN
-    pads), or is None when no member has any.
+    (0, 1) by x = a + s u/(1-u), where a tail power p becomes the power
+    -(2 + p) at u = 1.  The scale s is 1, or |a| (1 when a = 0) for a
+    hinted power tail: a pure power law then stays a polynomial in 1 - u,
+    however far out its origin a lies.  An infinite endpoint is always
+    singular, and so is an endpoint with a negative hint.  Members with
+    ``not lower < upper`` are empty: they integrate to 0 without an
+    evaluation.  ``cuts`` holds each member's breakpoints inside its
+    interval, mapped with it (NaN pads), or is None when no member has any.
 
     Every member has its own evaluation budget.  A member that fails stops
     alone: ``failed`` marks it and ``errors`` holds its first error, the
@@ -292,6 +291,7 @@ class _Batch:
         else:
             cuts = None
         ends = lower + upper
+        self.power_tail = False
         self.transformed = np.count_nonzero(np.isfinite(ends)) < size
         if self.transformed:
             # A NaN bound makes its sum NaN (and so does -inf + inf).
@@ -313,16 +313,18 @@ class _Batch:
                 if cuts is not None:
                     cuts = np.where(reflect[:, None], -cuts, cuts)
             mapped = upper == np.inf
+            self.power_tail = mapped & ~np.isnan(exponent[:, 1])
+            scale = np.where(self.power_tail & (lower != 0.0), abs(lower), 1.0)
             if cuts is not None:
                 x = cuts - lower[:, None]
-                cuts = np.where(mapped[:, None], x / (1.0 + x), cuts)
+                cuts = np.where(mapped[:, None], x / (scale[:, None] + x), cuts)
             np.copyto(exponent[:, 1], -(2.0 + exponent[:, 1]), where=mapped)
             singular[:, 1] |= mapped
             # Per member: 1 where mapped (else 0), the origin a of the map
-            # (else 0: every bound is finite here) and -1 where reflected
-            # (else 1), so that one expression serves every member (see
-            # _evaluate).
-            self.affine = np.array([mapped, lower * mapped, 1.0 - 2.0 * reflect]).T
+            # (else 0: every bound is finite here), -1 where reflected (else
+            # 1) and the scale s, so that one expression serves every member
+            # (see _points).
+            self.affine = np.array([mapped, lower * mapped, 1.0 - 2.0 * reflect, scale]).T
             lower, upper = np.where(mapped, 0.0, lower), np.where(mapped, 1.0, upper)
         self.lower, self.upper, self.cuts = lower, upper, cuts
         # Per member and side (lower, upper); NaN is no hint.
@@ -336,6 +338,7 @@ class _Batch:
         self.spent = 0
         self.failed = np.zeros(size, dtype=bool)
         self.errors: dict[int, QuadratureError] = {}
+        self.weights: _Weights | None = None
 
     def fail(self, member: int, error: QuadratureError) -> None:
         if not self.failed[member]:
@@ -371,36 +374,127 @@ class _Batch:
         y = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         finite = np.isfinite(y)
         if np.count_nonzero(finite) < y.size:
-            # A member's first bad row names its point.
+            # A member's first bad row names its point, in the member's x.
             for r in (~finite.all(axis=1) & ~self.failed[rows]).nonzero()[0].tolist():
+                bad = u[r:r + 1, finite[r].argmin()][:, None]
+                if self.transformed:
+                    bad = self._points(bad, rows[r:r + 1])[0]
                 self.fail(int(rows[r]), EvaluationError(
-                    f"integrand non-finite at interior point x={u[r][~finite[r]][0]!r}"))
+                    f"integrand non-finite at interior point x={float(bad[0, 0])!r}"))
         return y
+
+    def _points(self, u, rows):
+        """The points x of the mapped points ``u`` of ``rows``, the map's
+        1 - u and its scale.  Where a member is not mapped, w = 1 - u*0 = 1
+        and x = +-0 + u/1*1 = u exactly; where it is not reflected, x*1 = x."""
+        mapped, origin, sign, scale = self.affine[rows].T[:, :, None]
+        w = 1.0 - u * mapped
+        x = origin + u / w * scale
+        if self.reflected:
+            x = x * sign
+        return x, w, scale
 
     def _evaluate(self, u, rows):
         if not self.transformed:
             return np.asarray(self.fn(u, rows), dtype=float)
-        # Where a member is not mapped, w = 1 - u*0 = 1 and x = +-0 + u/1 = u
-        # exactly; where it is not reflected, x*1 = x.
-        mapped, origin, sign = self.affine[rows].T[:, :, None]
-        w = 1.0 - u * mapped
-        x = origin + u / w
-        if self.reflected:
-            x = x * sign
-        return np.asarray(self.fn(x, rows), dtype=float) / (w * w)
+        x, w, scale = self._points(u, rows)
+        return np.asarray(self.fn(x, rows), dtype=float) * scale / (w * w)
 
 
-def _rule(batch: _Batch, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
-    """Gauss-Kronrod 15/7 estimates and errors of the panels (a, b) of ``rows``."""
+def _rule(batch: _Batch, a: np.ndarray, b: np.ndarray, rows: np.ndarray, end: np.ndarray):
+    """Estimates and errors of the panels (a, b) of ``rows``.
+
+    A panel whose ``end`` is 0 takes the Gauss-Kronrod 15/7 pair; one whose
+    ``end`` is 1 (2) touches its member's weighted lower (upper) endpoint
+    and takes that end's Gauss-Jacobi 10/5 pair (see :class:`_Weights`).
+    """
+    if not rows.size:
+        return a, a
     h = 0.5 * (b - a)
-    y = batch.values((0.5 * (a + b))[:, None] + h[:, None] * _XK, rows)
+    u = (0.5 * (a + b))[:, None] + h[:, None] * _XK
+    w = end.nonzero()[0]
+    if w.size:
+        table = batch.weights
+        upper = end[w] == 2
+        group = table.group[rows[w], upper.view(np.int8)]
+        edge = np.where(upper, b[w], a[w])[:, None]
+        span = np.where(upper, a[w] - b[w], b[w] - a[w])[:, None]
+        u[w] = edge + span * table.nodes[group]
+    y = batch.values(u, rows)
     s = y @ _W
-    kronrod = s[:, 0]
-    diff = h * abs(kronrod - s[:, 1])
-    # QUADPACK-style rescaled error estimate.
+    value = h * s[:, 0]
+    diff = h * abs(s[:, 0] - s[:, 1])
+    # QUADPACK-style rescaled error estimate, from the integral of
+    # |f - mean f| by the panel's higher rule.
     resasc = h * (abs(y - 0.5 * s[:, :1]) @ _WK)
+    if w.size:
+        # The weight is taken at the points evaluated: |u - edge| is exact
+        # there, while the rounding of edge + span * node is not.
+        yw = y[w] * ((u[w] - edge) / span) ** -table.exponent[group][:, None]
+        weights = table.matrix[group]
+        q = np.einsum("kn,knc->kc", yw, weights)
+        width = abs(span[:, 0])
+        value[w] = width * q[:, 0]
+        diff[w] = width * abs(q[:, 0] - q[:, 1])
+        resasc[w] = width * np.einsum("kn,kn->k", abs(yw - q[:, :1]), weights[:, :, 0])
     # (Where resasc is 0 the panel is constant and the estimate 0.)
-    return h * kronrod, resasc * np.fmin(1.0, (200.0 * diff / resasc) ** 1.5)
+    return value, resasc * np.fmin(1.0, (200.0 * diff / resasc) ** 1.5)
+
+
+# ---------------------------------------------------------------------------
+# weighted end panels
+# ---------------------------------------------------------------------------
+
+
+def _gauss_jacobi(n: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rules on [-1, 1] for the weight (1 + t)**p, one per
+    exponent p > -1: nodes and weights, (len(p), n) each.
+
+    Golub & Welsch, Math. Comp. 23 (1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the Jacobi polynomials P(0, p), and the weights
+    mu0 v0**2 from the first components of its eigenvectors, where
+    mu0 = 2**(1+p) / (1+p) is the weight's integral.
+    """
+    p = np.array(p, dtype=float, ndmin=1)[:, None]
+    k = np.arange(1.0, n)
+    c = 2.0 * k + p
+    jacobi = np.zeros((p.size, n, n))
+    i = np.arange(n)
+    jacobi[:, 0, 0] = p[:, 0] / (p[:, 0] + 2.0)
+    jacobi[:, i[1:], i[1:]] = p * p / (c * (c + 2.0))
+    off = 2.0 * k * (k + p) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
+    jacobi[:, i[1:], i[:-1]] = jacobi[:, i[:-1], i[1:]] = off
+    t, v = np.linalg.eigh(jacobi)
+    return t, 2.0 ** (1.0 + p) / (1.0 + p) * v[:, 0, :] ** 2
+
+
+class _Weights:
+    """The weighted end panels of one engine call.
+
+    An endpoint where a member behaves like |x - end|**p is integrated by a
+    Gauss-Jacobi pair for that weight (compare QUADPACK's ``qaws``): 10
+    nodes for the estimate and 5 for its error, the 15 evaluations of a
+    Kronrod panel.  On the unit panel s in (0, 1) from the end, ``nodes``
+    holds both rules' nodes and ``matrix`` their weights, in two columns,
+    so that a row of values divided by s**p times the matrix gives both
+    estimates of the integral.  One table per distinct ``exponent``;
+    ``group`` (M, 2) indexes it per member and side (-1 where the end is
+    not weighted).  The tables live as long as the call.
+    """
+
+    def __init__(self, exponent: np.ndarray):
+        weighted = ~np.isnan(exponent)
+        self.exponent, group = np.unique(exponent[weighted], return_inverse=True)
+        self.group = np.full(exponent.shape, -1)
+        self.group[weighted] = group
+        t10, w10 = _gauss_jacobi(10, self.exponent)
+        t5, w5 = _gauss_jacobi(5, self.exponent)
+        # On (0, 1) the weights are 2**-(1+p) times those on (-1, 1).
+        self.nodes = 0.5 * (1.0 + np.concatenate([t10, t5], axis=1))
+        scale = 2.0 ** -(1.0 + self.exponent)[:, None]
+        self.matrix = np.zeros((self.exponent.size, 15, 2))
+        self.matrix[:, :10, 0] = scale * w10
+        self.matrix[:, 10:, 1] = scale * w5
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +503,21 @@ def _rule(batch: _Batch, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
 
 
 def _classify(batch: _Batch):
-    """Status codes (M, 2) of every member's endpoints.
+    """Status codes (M, 2) of every member's endpoints, and the exponents
+    of their convergent singular ends that weighted panels resolve (NaN
+    elsewhere).
 
     A hint decides at once.  An unhinted singular end is classified by the
     least-squares slope of log|f| against the log distance over 3 decades
     of geometric approach; all such ends are probed in one evaluator call.
+    Its slope is its exponent unless the integrand vanishes there.  A
+    convergent end is weighted where its exponent is negative, and so is a
+    hinted power tail mapped onto u = 1, whatever its power in u.
     """
     singular = batch.singular
-    status = np.where(singular, batch.exponent <= -1.0, -1)
-    members, sides = (singular & np.isnan(batch.exponent)).nonzero()
+    exponent = batch.exponent
+    status = np.where(singular, exponent <= -1.0, -1)
+    members, sides = (singular & np.isnan(exponent)).nonzero()
     if members.size:
         y, d = batch.probe(members, sides, _FIT)
         # Points where the integrand numerically vanishes carry no slope
@@ -431,10 +531,15 @@ def _classify(batch: _Batch):
         p = np.add.reduce(dx * ly, axis=1) / np.add.reduce(dx * dx, axis=1)
         # Fewer than four points: the integrand vanishes at the endpoint,
         # nothing to diverge.
+        vanishes = n < 4
         status[members, sides] = np.where(
-            (n < 4) | (p >= -1.0 + EXPONENT_BAND), 0,
+            vanishes | (p >= -1.0 + EXPONENT_BAND), 0,
             np.where(p <= -1.0 - EXPONENT_BAND, 1, 2))
-    return status
+        exponent = exponent.copy()
+        exponent[members, sides] = np.where(vanishes, np.nan, p)
+    weighted = exponent < 0.0
+    weighted[:, 1] |= batch.power_tail
+    return status, np.where((status == 0) & weighted, exponent, np.nan)
 
 
 def detect_divergence(g: Integrand, budget: int = DEFAULT_BUDGET) -> dict[str, str]:
@@ -453,7 +558,7 @@ def detect_divergence(g: Integrand, budget: int = DEFAULT_BUDGET) -> dict[str, s
         batch = _Batch(_rows(g.fn), np.array([g.lower], dtype=float),
                        np.array([g.upper], dtype=float), budget, g.exponent_lower,
                        g.exponent_upper, g.singular_lower, g.singular_upper)
-        status = _classify(batch)
+        status = _classify(batch)[0]
     if batch.errors:
         raise batch.errors[0]
     sides = _SIDES[::-1] if math.isinf(g.lower) else _SIDES  # reflected: sides swap
@@ -487,88 +592,33 @@ def _resolve_divergent(batch: _Batch, status):
 
 
 # ---------------------------------------------------------------------------
-# singular-endpoint ladders
-# ---------------------------------------------------------------------------
-
-
-def _extrapolate_tail(hist: np.ndarray, mag: np.ndarray, n: np.ndarray, rho: np.ndarray):
-    """Tail remainders and their errors of ladders with rung values ``hist``
-    (and their magnitudes ``mag``).
-
-    Column k + 3 of ``hist`` (L, m) is the deepest rung when the ladder
-    holds ``n[:, k]`` rungs; the three columns before it are the rungs
-    above.  The remainder is the unresolved mass between the deepest rung
-    and the endpoint.  It fits the two leading terms of the local expansion
-    s(d) d**p (s analytic in the distance d), I_j = A r**j + B (r/2)**j
-    with r = 2**-(1+p), through the last two rungs and sums the model
-    geometrically: r ((3-r) I_last - r I_prev) / ((1-r)(2-r)).  The same
-    prediction made one rung earlier gives the error.  r is ``rho`` (L, 1),
-    from the exponent hint, or where that is NaN the decay of the last four
-    rungs.  A ladder with fewer than five rungs, or with no usable
-    geometric structure, charges its last rung as error.
-    """
-    i1, i2, i3 = hist[:, 1:-2], hist[:, 2:-1], hist[:, 3:]
-    r = rho
-    unhinted = np.isnan(rho)
-    if np.count_nonzero(unhinted):
-        # Four rungs of one sign, each smaller than the one before: each
-        # consecutive pair keeps its sign and falls.
-        s = np.sign(hist)
-        ratio = mag[:, 1:] / mag[:, :-1]
-        step = (s[:, 1:] == s[:, :-1]) & (ratio < 0.999)
-        geometric = step[:, :-2] & step[:, 1:-1] & step[:, 2:] & (s[:, :-3] != 0.0)
-        r = np.where(unhinted & geometric, ratio[:, 2:], rho)
-    q = r / ((1.0 - r) * (2.0 - r))
-    c3, c2 = q * (3.0 - r), q * r
-    rem = c3 * i3 - c2 * i2
-    err = abs(rem - c3 * i2 + c2 * i1 + i3) + 1e-12 * abs(rem)
-    usable = (n >= 5) & (r < 0.999)
-    return np.where(usable, rem, 0.0), np.where(usable, err, mag[:, 3:])
-
-
-def _rungs(tab, n):
-    """The next ``_RUNGS`` rungs of ladders with rows ``tab`` of ``ltab``
-    after ``n`` rungs: their bounds, and whether each is representable
-    and every rung before it too.  Rung j spans distances |h| 2**-(j+1)
-    to |h| 2**-j from the endpoint."""
-    end = tab[:, :1]
-    x = end + tab[:, 1:2] * _POW2[n + _EDGES]
-    near, far = x[:, 1:], x[:, :-1]
-    # Both ends lie on the inner side of the endpoint, so the near one
-    # decides whether a rung touches it.
-    ok = (near != far) & (near != end) & (n < _LADDER_MAX - _BLOCK)
-    return (np.minimum(near, far), np.maximum(near, far),
-            np.logical_and.accumulate(ok, axis=1))
-
-
-# ---------------------------------------------------------------------------
 # adaptive rounds
 # ---------------------------------------------------------------------------
 
 
 class _Rounds:
-    """Panels and ladders of the members being integrated, refined in rounds.
+    """Panels of the members being integrated, refined in rounds.
 
     The panel store is ``pm`` (each panel's member) and the rows of ``F``:
     bounds, noise-floor strikes, the share of its parent's error that the
-    split making the panel kept (0 for panels no split made), value, error
-    and a live flag.  Both are preallocated and filled from the front, so
-    the store holds panels in the order they were made, and a per-member
-    sum (a ``bincount`` over the store) adds a member's panels in that
-    order.  A panel that is split or frozen is retired in place: its value,
-    error and live flag become 0, and adding +0 to a sum that starts at +0
-    changes no bit of it.  When the store is full, its live panels move, in
-    order, to the front of a store twice the size they and the new panels
-    need.  A member's panels split only after its ladders are done.  Panels
-    that bisection cannot improve (float resolution, or the evaluator's
-    noise floor) are frozen: their value and error stay in the member's
-    total, in ``fixed`` and ``floor``, and they are never split again.
+    split making the panel kept (0 for panels no split made), value, error,
+    a live flag and the weighted end the panel touches (0 for none, 1 for
+    lower, 2 for upper; see :func:`_rule`).  Both are preallocated and
+    filled from the front, so the store holds panels in the order they
+    were made, and a per-member sum (a ``bincount`` over the store) adds a
+    member's panels in that order.  A panel that is split or frozen is
+    retired in place: its value, error and live flag become 0, and adding
+    +0 to a sum that starts at +0 changes no bit of it.  When the store is
+    full, its live panels move, in order, to the front of a store twice the
+    size they and the new panels need.  Panels that bisection cannot
+    improve (float resolution, or the evaluator's noise floor) are frozen:
+    their value and error stay in the member's total, in ``fixed`` and
+    ``floor``, and they are never split again.
 
     Each pass of ``run`` is one round of bookkeeping: one sum per member of
     the store's values, errors and live flags, from which it takes the
-    members that are done, the free tolerance of the members ready to split
-    (infinite for the others, which then split nothing) and the panels to
-    split.  A member that is done keeps its panels as they are, so its
+    members that are done, the free tolerance of the others and the panels
+    to split.  A member that is done keeps its panels as they are, so its
     result is the total of the last pass.
     """
 
@@ -576,19 +626,18 @@ class _Rounds:
         self.batch, self.tol = batch, tol
         self.value, self.error, self.fixed, self.floor = np.zeros((4, batch.size))
         self.running = run
-        self.open = np.zeros(batch.size, dtype=np.int64)
         # A panel narrower than this share of its member's span is narrow
         # (see _split).
         self.narrow = 1e-6 * (batch.upper - batch.lower)
-        self.n = self.nlive = 0
+        self.n = 0
         self.floored = False
         self._first_round(run)
 
     def _alloc(self, capacity):
         self.pm = np.empty(capacity, dtype=np.int64)
-        self.F = np.ones((7, capacity))
+        self.F = np.ones((8, capacity))
 
-    def _add(self, pm, a, b, strikes, kept, v, e):
+    def _add(self, pm, a, b, strikes, kept, v, e, end):
         n, k = self.n, pm.size
         if n + k > self.pm.size:
             live = self.F[_LIVE, :n] > 0.0
@@ -598,6 +647,7 @@ class _Rounds:
             self.pm[:n], self.F[:, :n] = old, F
         self.pm[n:n + k] = pm
         self.F[:_LIVE, n:n + k] = a, b, strikes, kept, v, e
+        self.F[_END, n:n + k] = end
         self.n = n + k
 
     def _freeze(self, pm, v, e):
@@ -606,154 +656,42 @@ class _Rounds:
         self.floored = True
 
     def _first_round(self, run):
-        """Initial partitions, cut at the breakpoints, and the first block of
-        rungs of every ladder, in one call.  The partitions of members that
-        do not run are computed with the rest and left out."""
+        """Initial partitions, cut at the breakpoints, in one call.  A
+        member's first panel touches its lower end and its last its upper
+        end; those of weighted ends are weighted.  The partitions of members
+        that do not run are computed with the rest and left out."""
         b = self.batch
         lo, hi = b.lower, b.upper
-        left, right = lo, hi
-        if b.any_singular:
-            singular = b.singular & run[:, None]
-            r, side = singular.nonzero()
-            quarter = (hi - lo) / 4.0
-            left = np.where(singular[:, 0], lo + quarter, lo)
-            right = np.where(singular[:, 1], hi - quarter, hi)
-            self._ladders(r, side, np.array([lo, hi])[side, r], np.array([left, right])[side, r])
-        width = right - left
-        graded = width > 10.0 * (1.0 + abs(left))
+        width = hi - lo
+        graded = width > 10.0 * (1.0 + abs(lo))
         # Each partition is sorted already; breakpoints join it unsorted.
-        pts = left[:, None] + width[:, None] * _PARTITIONS[graded.view(np.int8)]
+        pts = lo[:, None] + width[:, None] * _PARTITIONS[graded.view(np.int8)]
         if b.cuts is not None:
-            pts = np.concatenate([pts, np.clip(b.cuts, left[:, None], right[:, None])], axis=1)
+            pts = np.concatenate([pts, np.clip(b.cuts, lo[:, None], hi[:, None])], axis=1)
             pts.sort(axis=1)
         pa, pb = pts[:, :-1], pts[:, 1:]
         panels = (pa < pb) & run[:, None]
         pm, pa, pb = panels.nonzero()[0], pa[panels], pb[panels]
-        self._alloc(2 * (pm.size + _RUNGS * self.nlive))
-        v, e = self._round(pm, pa, pb, first=True)
+        end = np.zeros(pm.size)
+        if b.weights is not None:
+            new = np.ones(pm.size + 1, dtype=bool)
+            new[1:-1] = pm[1:] != pm[:-1]
+            weighted = b.weights.group[pm] >= 0
+            end[new[:-1] & weighted[:, 0]] = 1.0
+            last = new[1:] & weighted[:, 1]
+            end[last] = 2.0
+            pb[last] = hi[pm[last]]
+        self._alloc(2 * pm.size)
+        v, e = _rule(b, pa, pb, pm, end)
         zero = np.zeros(pm.size)
-        self._add(pm, pa, pb, zero, zero, v, e)
-
-    # -- ladders -------------------------------------------------------------
-
-    def _ladders(self, lm, side, end, inner):
-        """Ladders of members ``lm`` from their ``side`` ends ``end`` to
-        ``inner``.
-
-        ``ln`` holds the rungs each ladder has taken and ``ltab`` one row
-        per ladder: its endpoint, signed span h, last rung, tail decay
-        ratio, the tail error that ends it (set in the first round), its
-        largest rung value, the tail remainder and its error after the
-        rungs taken so far, and its last four rung values (zeros before
-        the first)."""
-        h = inner - end
-        span = abs(h)
-        # A ladder ends at the rung from which evaluating the distance to the
-        # endpoint loses more than ~1e-9 relative precision (panel values
-        # below it are noise), and at _LADDER_MAX rungs.
-        noise = _EPS * np.maximum(abs(end), span) * 1e7
-        last = np.minimum(np.add.reduce(
-            span[:, None] * _POW2[1:_LADDER_MAX + 1] >= noise[:, None], axis=1),
-            _LADDER_MAX - 1)
-        # The decay ratio 2**-(1+p) from the exponent hint p (NaN: none).
-        rho = 2.0 ** -(1.0 + self.batch.exponent[lm, side])
-        self.lm = lm
-        self.ln = np.zeros(lm.size, dtype=np.int64)
-        self.ltab = np.zeros((lm.size, 12))
-        self.ltab[:, :4] = np.array([end, h, last, rho]).T
-        self.live = np.ones(lm.size, dtype=bool)
-        self.nlive = lm.size
-        np.add.at(self.open, lm, 1)
-
-    def _climb(self, ids, tab, n, a, b, ok, v, e):
-        """Append each ladder's block of rungs in order and finish the
-        ladders that end in it.  A ladder ends before a rung that rebounds
-        or is not representable, after its last rung, and once the tail
-        remainder of a rung from the sixth on is good to 2% of the
-        tolerance; it then keeps the rungs up to the one with the best such
-        remainder in the block."""
-        j = n + _BLOCK
-        # hist: the ladder's last four values, then the block; seen[:, c]:
-        # the largest value before rung c (0 before the first).
-        hist = np.concatenate([tab[:, 8:], v], axis=1)
-        mag = abs(hist)
-        av = mag[:, 4:]
-        seen = np.maximum.accumulate(np.concatenate([tab[:, 5:6], av], axis=1), axis=1)
-        # Deep in the decayed regime panel values must keep shrinking
-        # geometrically; a rebound there means the evaluator hit its noise
-        # floor.  (Shallow rebounds are legitimate: the next-order endpoint
-        # term can dominate the first few panels.)
-        skip = ~ok | ((av > mag[:, 3:-1]) & (av < 1e-3 * seen[:, :-1]))
-        halt = skip | (j >= tab[:, 2:3])
-        r = np.arange(ids.size)
-        first = halt.argmax(axis=1)
-        take = np.where(halt[r, first], first + ~skip[r, first], _RUNGS)
-        # Tail model after each count of rungs taken, from none to all.
-        rem, err = _extrapolate_tail(hist, mag, n + _EDGES, tab[:, 3:4])
-        good = (err[:, 1:] < tab[:, 4:5]) & (j >= 5) & (_BLOCK < take[:, None])
-        met = np.logical_or.reduce(good, axis=1)
-        take = np.where(met, np.where(good, err[:, 1:], np.inf).argmin(axis=1) + 1, take)
-        keep = _BLOCK < take[:, None]
-        zero = np.zeros(np.count_nonzero(keep))
-        self._add(self.lm[ids.repeat(take)], a[keep], b[keep], zero, zero, v[keep], e[keep])
-        self.ln[ids] = n[:, 0] + take
-        self.ltab[ids, 5:] = np.array([seen, rem, err, hist[:, :-3], hist[:, 1:-2],
-                                       hist[:, 2:-1], hist[:, 3:]])[:, r, take].T
-        self._finish(ids[met | (take < _RUNGS) | halt[:, -1]])
-
-    def _finish(self, ids):
-        """End ladders ``ids``: their tail remainders join the fixed part."""
-        if not ids.size:
-            return
-        lm = self.lm[ids]
-        rem, err = self.ltab[ids, 6:8].T
-        self._freeze(lm, rem, err)
-        np.subtract.at(self.open, lm, 1)
-        self.live[ids] = False
-        self.nlive -= ids.size
-
-    # -- rounds --------------------------------------------------------------
-
-    def _round(self, pm, a, b, first=False):
-        """Evaluate the panels (pm, a, b) and the next block of rungs of every
-        live ladder in one call; let the ladders climb, and return the
-        panels' values and errors.  The first round also sets each ladder's
-        tail tolerance from its member's tolerance scale, the sum of
-        |value| over the member's initial panels."""
-        k = pm.size
-        rows = pm
-        if self.nlive:
-            ids = self.live.nonzero()[0]
-            tab, n = self.ltab[ids], self.ln[ids][:, None]
-            ra, rb, ok = _rungs(tab, n)
-            if np.count_nonzero(ok[:, 0]) < ids.size:
-                self._finish(ids[~ok[:, 0]])
-                go = ok[:, 0]
-                ids, tab, n, ra, rb, ok = ids[go], tab[go], n[go], ra[go], rb[go], ok[go]
-            a, b = np.concatenate([a, ra[ok]]), np.concatenate([b, rb[ok]])
-            rows = np.concatenate([pm, self.lm[ids[ok.nonzero()[0]]]])
-        if not rows.size:
-            return a, a
-        v, e = _rule(self.batch, a, b, rows)
-        if first and self.nlive:
-            scale = np.bincount(pm, abs(v[:k]), self.batch.size)
-            self.ltab[:, 4] = 0.02 * np.maximum(self.tol, self.tol * scale)[self.lm]
-            tab[:, 4] = self.ltab[ids, 4]
-        if rows.size > k:
-            ve = np.zeros((2,) + ok.shape)
-            ve[:, ok] = v[k:], e[k:]
-            self._climb(ids, tab, n, ra, rb, ok, *ve)
-        return v[:k], e[:k]
+        self._add(pm, pa, pb, zero, zero, v, e, end)
 
     def run(self):
         b, tol = self.batch, self.tol
         size = b.size
         while True:
-            if b.errors:  # stop the members that failed, and their ladders
+            if b.errors:  # stop the members that failed
                 self.running &= ~b.failed
-                if self.nlive:
-                    self.live &= ~b.failed[self.lm]
-                    self.nlive = np.count_nonzero(self.live)
             if not np.count_nonzero(self.running):
                 return
             pm, F = self.pm[:self.n], self.F[:, :self.n]
@@ -763,20 +701,17 @@ class _Rounds:
             # are its result in every later round too.
             self.value, self.error = total, err
             limit = np.maximum(tol, tol * abs(total))
-            ready = self.running & (self.open == 0)
-            done = ready & (err <= limit)
+            done = self.running & (err <= limit)
             if np.count_nonzero(done):
                 self.running ^= done
                 if not np.count_nonzero(self.running):
                     return
-                ready ^= done
-            # The free tolerance of a ready member is its tolerance less the
-            # error no split can reduce; the others have infinite free
+            # The free tolerance of a running member is its tolerance less
+            # the error no split can reduce; the others have infinite free
             # tolerance and split nothing.  Only frozen error can exceed the
             # tolerance.
-            free = np.where(ready, limit - self.floor, np.inf)
+            free = np.where(self.running, limit - self.floor, np.inf)
             if self.floored:
-                # A stuck member is ready, so it has no ladder left to stop.
                 stuck = free < 0.0
                 for m in stuck.nonzero()[0].tolist():
                     b.fail(m, EvaluationBudgetError(
@@ -796,22 +731,19 @@ class _Rounds:
         predicted (its error times the share its parent's split kept) to
         leave more than its member's free tolerance: two rounds of
         bisection would then evaluate at least the same four quarters in
-        one more round.  A panel that float resolution cannot bisect is
-        frozen.  With nothing chosen, the round climbs the ladders alone.
+        one more round.  The piece at a weighted end stays weighted.  A
+        panel that float resolution cannot bisect is frozen.
         """
-        if not chosen.size:
-            self._round(chosen, _NO_BOUNDS, _NO_BOUNDS)
-            return
         m = self.pm[chosen]
-        a, b, strikes, kept, v, e, _ = self.F[:, chosen]
+        a, b, strikes, kept, v, e, _, end = self.F[:, chosen]
         self.F[_VALUE:, chosen] = 0.0
         mid = 0.5 * (a + b)
         ok = (a < mid) & (mid < b)
         if np.count_nonzero(ok) < ok.size:
             stop = ~ok
             self._freeze(m[stop], v[stop], e[stop])
-            m, a, b, e, strikes, kept, mid = (m[ok], a[ok], b[ok], e[ok], strikes[ok],
-                                              kept[ok], mid[ok])
+            m, a, b, e, strikes, kept, mid, end = (m[ok], a[ok], b[ok], e[ok], strikes[ok],
+                                                   kept[ok], mid[ok], end[ok])
         # Cut points of each parent; a bisected one repeats mid and b, and
         # the empty pieces between repeats drop out.
         deep = kept * e > free[m]
@@ -824,7 +756,11 @@ class _Rounds:
         owner = piece % m.size
         lo, hi = lo[piece], hi[piece]
         pm = m[owner]
-        v, e2 = self._round(pm, lo, hi)
+        end = end[owner]
+        if np.count_nonzero(end):
+            end = np.where(((end == 1.0) & (lo == a[owner])) | ((end == 2.0) & (hi == b[owner])),
+                           end, 0.0)
+        v, e2 = _rule(self.batch, lo, hi, pm, end)
         kept = np.bincount(owner, e2, m.size) / e
         # Persistent non-improvement on an already narrow panel means the
         # evaluator's noise floor; a non-improving split on a wide panel is
@@ -835,9 +771,9 @@ class _Rounds:
             go = strikes < 3.0
             stop = ~go
             self._freeze(pm[stop], v[stop], e2[stop])
-            pm, lo, hi, v, e2, strikes, owner = (pm[go], lo[go], hi[go], v[go], e2[go],
-                                                 strikes[go], owner[go])
-        self._add(pm, lo, hi, strikes, kept[owner], v, e2)
+            pm, lo, hi, v, e2, strikes, owner, end = (pm[go], lo[go], hi[go], v[go], e2[go],
+                                                      strikes[go], owner[go], end[go])
+        self._add(pm, lo, hi, strikes, kept[owner], v, e2, end)
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +833,11 @@ def _integrate_members(fn, lower, upper, *, tol=DEFAULT_TOL, budget: int = DEFAU
         run = ~batch.empty
         infinite = None
         if batch.any_singular:
-            diverged, infinite = _resolve_divergent(batch, _classify(batch))
+            status, weighted = _classify(batch)
+            diverged, infinite = _resolve_divergent(batch, status)
             run &= ~diverged
+            if np.count_nonzero(~np.isnan(weighted)):
+                batch.weights = _Weights(weighted)
         run &= ~batch.failed
         rounds = _Rounds(batch, run, tol)
         rounds.run()

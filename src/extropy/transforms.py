@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import UnivariateDistribution, ValidationError, _require_finite
+from .distributions import UnivariateDistribution, ValidationError, _clip, _require_finite
 from .measures import (
     ConditionalLifetime,
     DomainError,
@@ -57,13 +57,19 @@ class TransformDegeneracyError(ValidationError):
 
 @dataclass(frozen=True)
 class MonotoneTransform:
-    """A strictly monotone map given as an evaluator triple."""
+    """A strictly monotone map given as an evaluator triple.
+
+    ``derivative_exponents`` are the local powers of phi' at the lower and
+    upper edges of the base support (None: unknown); 0 says phi' is finite
+    and non-zero there.
+    """
 
     phi: Callable[[np.ndarray], np.ndarray]
     phi_inverse: Callable[[np.ndarray], np.ndarray]
     phi_derivative: Callable[[np.ndarray], np.ndarray]
     direction: str  # "increasing" or "decreasing"
     label: str = ""
+    derivative_exponents: tuple[float | None, float | None] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.direction not in ("increasing", "decreasing"):
@@ -117,7 +123,8 @@ def exp_transform() -> MonotoneTransform:
 def pit_transform(dist: UnivariateDistribution) -> MonotoneTransform:
     """Probability integral transform x -> F_X(x); pushforward is U(0,1)."""
     return MonotoneTransform(dist.cdf, dist.quantile, dist.pdf,
-                             "increasing", label="pit")
+                             "increasing", label="pit",
+                             derivative_exponents=dist.pdf_edge_exponents)
 
 
 TRANSFORM_VOCABULARY = ("scale:a", "affine:a,b", "square", "exp", "pit")
@@ -192,15 +199,21 @@ def _ratio_integrand(dist, tr: MonotoneTransform, lo: float, hi: float) -> Integ
         # transform contributes below the advertised tolerance, while the
         # raw evaluations would over/underflow.
         hi = float(dist.quantile(np.asarray(1.0 - 1e-13)))
-    # Edge behaviour of phi/phi' is transform-specific; fall back to the
-    # numeric classifier when the density itself is edge-singular.
-    p_lo, p_hi = dist.pdf_edge_exponents
-    sup_lo, sup_hi = dist.support
-    singular_lower = lo == sup_lo and p_lo is not None and p_lo < 0.0
-    singular_upper = (not math.isinf(hi)) and hi == sup_hi \
-        and p_hi is not None and p_hi < 0.0
-    return Integrand(fn, lo, hi, singular_lower=singular_lower,
-                     singular_upper=singular_upper, breakpoints=dist.breakpoints)
+
+    def hint(x0, p, q):
+        # phi/phi' ~ (x - x0)/(q + 1) where phi(x0) = 0, and phi(x0)/phi'
+        # ~ (x - x0)**-q elsewhere, for phi' ~ (x - x0)**q.
+        if p is None or q is None:
+            return None
+        with np.errstate(all="ignore"):
+            at = float(phi(np.asarray(x0, dtype=float)))
+        return 2.0 * p + (1.0 if at == 0.0 else -q)
+
+    (sup_lo, sup_hi), (p_lo, p_hi) = dist.support, dist.pdf_edge_exponents
+    q_lo, q_hi = tr.derivative_exponents
+    return Integrand(fn, lo, hi, exponent_lower=hint(lo, p_lo, q_lo) if lo == sup_lo else None,
+                     exponent_upper=hint(hi, p_hi, q_hi) if hi == sup_hi else None,
+                     breakpoints=dist.breakpoints)
 
 
 def transformed_weighted_extropy(dist, tr: MonotoneTransform) -> Estimate:
@@ -288,22 +301,22 @@ def pushforward_distribution(dist, tr: MonotoneTransform) -> UnivariateDistribut
     if increasing:
         def cdf(y):
             y = np.asarray(y, dtype=float)
-            return np.clip(dist.cdf(tr.phi_inverse(np.clip(y, y_lo, y_hi))), 0.0, 1.0)
+            return _clip(dist.cdf(tr.phi_inverse(_clip(y, y_lo, y_hi))), 0.0, 1.0)
 
         def sf(y):
             y = np.asarray(y, dtype=float)
-            return np.clip(dist.sf(tr.phi_inverse(np.clip(y, y_lo, y_hi))), 0.0, 1.0)
+            return _clip(dist.sf(tr.phi_inverse(_clip(y, y_lo, y_hi))), 0.0, 1.0)
 
         def quantile(p):
             return tr.phi(dist.quantile(np.asarray(p, dtype=float)))
     else:
         def cdf(y):
             y = np.asarray(y, dtype=float)
-            return np.clip(dist.sf(tr.phi_inverse(np.clip(y, y_lo, y_hi))), 0.0, 1.0)
+            return _clip(dist.sf(tr.phi_inverse(_clip(y, y_lo, y_hi))), 0.0, 1.0)
 
         def sf(y):
             y = np.asarray(y, dtype=float)
-            return np.clip(dist.cdf(tr.phi_inverse(np.clip(y, y_lo, y_hi))), 0.0, 1.0)
+            return _clip(dist.cdf(tr.phi_inverse(_clip(y, y_lo, y_hi))), 0.0, 1.0)
 
         def quantile(p):
             return tr.phi(dist.quantile(1.0 - np.asarray(p, dtype=float)))

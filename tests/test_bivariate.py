@@ -29,7 +29,7 @@ from extropy.distributions import (
 )
 
 BB_CASES = [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.75, 0.75, 0.75),
-            (0.75, 1.0, 2.0), (2.0, 0.75, 1.0), (1.0, 2.0, 0.75)]
+            (0.75, 1.0, 2.0), (2.0, 0.75, 1.0), (1.0, 2.0, 0.75), (0.6, 0.6, 0.6)]
 
 
 class TestBivariateBeta:
@@ -55,6 +55,13 @@ class TestBivariateBeta:
                 assert qd.diverged
             else:
                 assert qd.value == pytest.approx(cf.value, abs=1e-6), abc
+
+    def test_weighted_quadrature_within_its_error_near_singular_edges(self):
+        # Every edge exponent of f**2 is -0.8; this once raised
+        # 'tolerance unreachable'.
+        bd = bivariate_beta(0.6, 0.6, 0.6)
+        r = bivariate_weighted_extropy(bd, force_quadrature=True)
+        assert abs(r.value - bd.closed_forms["bivariate_weighted_extropy"]) <= r.abs_error
 
     @pytest.mark.parametrize("abc", BB_CASES)
     def test_unit_mass(self, abc):

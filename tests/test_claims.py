@@ -158,6 +158,13 @@ class TestLemmaChecks:
         assert rep.lhs == pytest.approx(-0.25, abs=1e-6)
         assert rep.extras["claimed_gap"] == pytest.approx(0.5625, abs=1e-6)
 
+    @pytest.mark.parametrize("t", [0.3, 0.4, 0.6, 0.7, 0.8, 0.9])
+    def test_residual_identity_near_a_singular_edge(self, t):
+        # f**2 of beta(4.04927, 0.712109) goes like (1 - x)**-0.58 at 1;
+        # these points once raised 'tolerance unreachable'.
+        rep = lemma1_residual_check(beta_dist(4.04927, 0.712109), t)
+        assert rep.verdict == "holds"
+
     def test_past_identity_on_uniform(self):
         rep = lemma1_past_check(uniform(0, 1), 0.5)
         assert rep.verdict == "holds"

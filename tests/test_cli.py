@@ -96,10 +96,11 @@ class TestMeasureCommand:
         assert rows_of(out)[0]["value"] == pytest.approx(-0.125)
 
     def test_numerical_failure_exit_3(self):
-        # Tail exponent -0.98: unreachable at engine tolerance 1e-10.
-        hard = '{"family":"beta","params":{"alpha":1,"beta":0.51}}'
+        # The power-law fit of the mapped exponential tail lands within
+        # EXPONENT_BAND of -1 at this rate: the end cannot be classified.
+        hard = '{"family":"exponential","params":{"rate":0.000631}}'
         code, _, err = run_cli("measure", "--dist", hard,
-                               "--measure", "weighted_extropy",
+                               "--measure", "extropy",
                                "--method", "quadrature")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "numerical"

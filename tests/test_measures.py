@@ -119,7 +119,7 @@ class TestWeightedExtropy:
             assert qd.diverged and qd.value == -math.inf
 
     def test_beta_finite_matches_closed_form(self):
-        for a, b in [(1.0, 0.55), (1.5, 0.75), (2.0, 1.5)]:
+        for a, b in [(1.0, 0.51), (1.0, 0.55), (1.5, 0.75), (2.0, 1.5)]:
             d = beta_dist(a, b)
             assert weighted_extropy(d, force_quadrature=True).value == \
                 pytest.approx(weighted_extropy(d).value, rel=1e-8)
@@ -191,6 +191,13 @@ class TestResidualExtropy:
         with pytest.raises(DomainError):
             residual_extropy(uniform(0, 1), 2.0)
 
+    @pytest.mark.parametrize("t", [2.0, 1e3, 1e5])
+    def test_pareto_inverse_in_t(self, t):
+        # J(X_t) = -k**2 / (2 (2k+1) t) for pareto(k, 1), however deep t.
+        k = 2.0
+        got = residual_extropy(pareto(k, 1.0), t, force_quadrature=True).value
+        assert got == pytest.approx(-k * k / (2.0 * (2.0 * k + 1.0) * t), rel=1e-9)
+
 
 class TestPastExtropy:
     def test_uniform_halfway(self):
@@ -222,7 +229,7 @@ class TestWeightedResidualExtropy:
 
     def test_pareto_constant(self):
         d = pareto(2.0, 1.0)
-        for t in (1.5, 2.0, 4.0):
+        for t in (1.5, 2.0, 4.0, 1e3):
             assert weighted_residual_extropy(d, t).value == \
                 pytest.approx(-0.5, abs=1e-9)
 
@@ -575,9 +582,10 @@ class TestDispatch:
         assert (r.method, r.evaluations) == ("closed-form", 0)
 
     def test_tol_reaches_the_engine(self):
-        d = beta_dist(0.7, 0.8)
-        loose = compute_measure(d, "past_extropy", 0.5, force_quadrature=True, tol=1e-4)
-        default = compute_measure(d, "past_extropy", 0.5, force_quadrature=True)
+        d = gamma_dist(2.0, 1.0)
+        loose = compute_measure(d, "weighted_residual_extropy", 0.5, force_quadrature=True,
+                                tol=1e-4)
+        default = compute_measure(d, "weighted_residual_extropy", 0.5, force_quadrature=True)
         assert loose.value != default.value
         assert loose.evaluations < default.evaluations
         assert loose.value == pytest.approx(default.value, abs=1e-4)
@@ -665,10 +673,11 @@ def oracle():
 
 @pytest.mark.parametrize("measure_id", ["residual_extropy", "weighted_residual_extropy"])
 def test_beta_upper_edge_ladder_meets_the_oracle(oracle, measure_id):
-    """The upper-edge ladder of beta(4.04927, 0.712109) works near its
-    rounding floor on (t, 1): a small change to the Kronrod node formula
-    once made it raise 'tolerance unreachable' on this grid.  Matches the
-    benchmark oracle (mpmath, 30 digits), loaded by path."""
+    """The singular upper edge of beta(4.04927, 0.712109) on (t, 1) once sat
+    near the rounding floor of the geometric ladder that resolved it: a
+    small change to the Kronrod node formula made it raise 'tolerance
+    unreachable' on this grid.  Matches the benchmark oracle (mpmath, 30
+    digits), loaded by path."""
     ref = oracle.Beta(4.04927, 0.712109)
     d = beta_dist(4.04927, 0.712109)
     grid = [0.3, 0.33469996328688567, 0.3734135514141421, 0.4166050064971299,

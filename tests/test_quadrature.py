@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from extropy.quadrature import (
     EvaluationBudgetError,
     EvaluationError,
     Integrand,
+    QuadratureError,
+    _gauss_jacobi,
     _integrate_members,
     detect_divergence,
     differentiate,
@@ -137,6 +140,52 @@ class TestDetectDivergence:
         assert integrate(g).diverged == (status == "divergent")
 
 
+class TestGaussJacobi:
+    """The weighted end panels' rules, from Golub-Welsch."""
+
+    def test_exponent_zero_is_gauss_legendre(self):
+        for n in (5, 10):
+            t, w = _gauss_jacobi(n, [0.0])
+            lt, lw = np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(t[0], lt, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(w[0], lw, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_exact_for_polynomials_against_the_weight(self, n):
+        # m_k = int_-1^1 (1+t)**p t**k dt: integrating by parts,
+        # m_k = (2**(1+p) - k m_(k-1)) / (1+p+k), from m_0 = 2**(1+p) / (1+p).
+        ps = [-0.98, -0.5, 0.4, 3.2]
+        t, w = _gauss_jacobi(n, ps)
+        for i, p in enumerate(ps):
+            m = math.exp((1.0 + p) * math.log(2.0) + math.lgamma(1.0 + p) - math.lgamma(2.0 + p))
+            for k in range(2 * n):
+                if k:
+                    m = (2.0 ** (1.0 + p) - k * m) / (1.0 + p + k)
+                assert w[i] @ t[i] ** k == pytest.approx(m, rel=1e-12, abs=1e-14), (p, k)
+
+
+# x**-1/2 log(1/x) and x**-1/2 / (1 - log x) on (0, 1): their log factors
+# make the fitted exponent of the lower end only approximate.
+FITTED_ENDS = [
+    (lambda x: x**-0.5 * np.log(1.0 / x), 4.0),
+    (lambda x: x**-0.5 / (1.0 - np.log(x)),
+     float(mpmath.sqrt(mpmath.e) * mpmath.e1(0.5))),
+]
+
+
+class TestFittedWeightedEnds:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("case", range(len(FITTED_ENDS)))
+    def test_meets_the_tolerance_or_raises(self, case, tol):
+        fn, exact = FITTED_ENDS[case]
+        try:
+            r = integrate(Integrand(fn, 0.0, 1.0, singular_lower=True), tol=tol)
+        except QuadratureError:
+            return
+        assert abs(r.value - exact) <= max(tol, tol * abs(r.value))
+        assert abs(r.value - exact) <= r.abs_error
+
+
 class TestErrorPaths:
     def test_budget_exhaustion_is_distinct(self):
         with pytest.raises(EvaluationBudgetError):
@@ -146,6 +195,20 @@ class TestErrorPaths:
     def test_non_finite_interior_value(self):
         with pytest.raises(EvaluationError):
             integrate(Integrand(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0))
+
+    @pytest.mark.parametrize("fn, lower, upper, bad", [
+        (lambda x: np.where(x > 5.0, np.nan, np.exp(-x)), 0.0, np.inf, lambda x: x > 5.0),
+        (lambda x: np.where(x < -5.0, np.nan, np.exp(x)), -np.inf, 0.0, lambda x: x < -5.0),
+    ])
+    def test_non_finite_point_is_named_in_x(self, fn, lower, upper, bad):
+        # On an infinite range the engine works on a mapped u; the message
+        # names the point x where the integrand failed, as a plain float.
+        with pytest.raises(EvaluationError) as info:
+            integrate(Integrand(fn, lower, upper))
+        text = str(info.value)
+        assert text.startswith("integrand non-finite at interior point x=")
+        x = float(text.rsplit("=", 1)[1])
+        assert bad(x) and math.isnan(fn(np.array([x]))[0])
 
 
 def _dispatch(fns):
@@ -251,11 +314,11 @@ class TestIntegrateBatch:
         # One jump per member: finite, mapped onto (0, 1) and reflected.
         # Rows are NaN-padded; the 5.0 lies outside its member and is unused.
         rows = [(lambda x: x * np.where(x < 1.0, 1.0, 2.0), 0.34, 3.0, {}, 1e-10),
-                (lambda x: np.exp(-x) * np.where(x < 1.0, 1.0, 2.0), 0.0, np.inf, {}, 1e-10),
-                (lambda x: np.exp(x) * np.where(x < -1.0, 2.0, 1.0), -np.inf, 0.0, {}, 1e-10)]
-        cut = self._batch(rows, breakpoints=[[1.0, np.nan], [1.0, np.nan], [-1.0, 5.0]])
+                (lambda x: np.exp(-x) * np.where(x < 2.0, 1.0, 2.0), 0.0, np.inf, {}, 1e-10),
+                (lambda x: np.exp(x) * np.where(x < -2.0, 2.0, 1.0), -np.inf, 0.0, {}, 1e-10)]
+        cut = self._batch(rows, breakpoints=[[1.0, np.nan], [2.0, np.nan], [-2.0, 5.0]])
         uncut = self._batch(rows)
-        exact = [(1.0 - 0.34**2) / 2.0 + 8.0, 1.0 + math.exp(-1.0), 1.0 + math.exp(-1.0)]
+        exact = [(1.0 - 0.34**2) / 2.0 + 8.0, 1.0 + math.exp(-2.0), 1.0 + math.exp(-2.0)]
         for r, u, want in zip(cut, uncut, exact):
             assert r.value == pytest.approx(want, rel=1e-12)
             assert r.evaluations < u.evaluations
@@ -470,52 +533,55 @@ PINNED_MEMBERS = [
      {"singular_upper": True}, (), 1e-10),
     ("breakpoint finite", lambda x: x * np.where(x < 1.0, 1.0, 2.0), 0.34, 3.0, {},
      (1.0,), 1e-10),
-    ("breakpoint mapped", lambda x: np.exp(-x) * np.where(x < 1.0, 1.0, 2.0), 0.0, np.inf,
-     {}, (1.0,), 1e-10),
-    ("breakpoint reflected", lambda x: np.exp(x) * np.where(x < -1.0, 2.0, 1.0), -np.inf,
-     0.0, {}, (-1.0, 5.0), 1e-10),
+    ("breakpoint mapped", lambda x: np.exp(-x) * np.where(x < 2.0, 1.0, 2.0), 0.0, np.inf,
+     {}, (2.0,), 1e-10),
+    ("breakpoint reflected", lambda x: np.exp(x) * np.where(x < -2.0, 2.0, 1.0), -np.inf,
+     0.0, {}, (-2.0, 5.0), 1e-10),
     # An undeclared jump: its panels' splits keep most of their error, so
     # they are split in four.
     ("split in four", lambda x: np.where(x < 0.3137, 1.0, 2.0) * (1.0 + x), 0.0, 1.0, {},
      (), 1e-10),
-    # A span so narrow that the ladder's first rung is not representable:
-    # it ends before its first round while the other ladders climb.
+    # A span of four ulps: its weighted panel's nodes round onto a few
+    # floats, and the weight is taken at those.
     ("hairline singular", lambda x: 1.0 + 0.0 * x, 1.0, 1.0 + 8e-16,
      {"exponent_lower": -0.5}, (), 1e-10),
     ("empty", lambda x: x, 1.0, 1.0, {}, (), 1e-10),
 ]
 
 # integrate of each member alone (integrate_batch of one for the empty
-# range, which an Integrand refuses), then one integrate_batch of all:
-# (value, abs_error) by float.hex, evaluations, diverged.
+# range, which an Integrand refuses): (value, abs_error) by float.hex,
+# evaluations, diverged.
 PINNED_ALONE = {
     "regular": ("0x1.35e863514d48ap-4", "0x1.11a6f9e1d00fdp-68", 60, False),
-    "hinted singular lower": ("0x1.5555555555555p+1", "0x1.cb3ed029e652ep-43", 150, False),
-    "hinted singular upper": ("0x1.11111111110e8p+0", "0x1.cc3038af4200fp-44", 330, False),
-    "unhinted mapped tail": ("0x1.aaaaaaaaaaaa9p+0", "0x1.97b930fc8ef5ep-44", 166, False),
-    "reflected": ("0x1.0000000000000p-1", "0x1.78aa90ff02883p-46", 166, False),
+    "hinted singular lower": ("0x1.5555555555557p+1", "0x1.8698badd797ffp-45", 60, False),
+    "hinted singular upper": ("0x1.1111111111114p+0", "0x1.205ce53f5f805p-45", 60, False),
+    "unhinted mapped tail": ("0x1.aaaaaaaaaaaabp+0", "0x1.35208823f598fp-46", 76, False),
+    "reflected": ("0x1.0000000000000p-1", "0x1.52797c4d29fd0p-34", 106, False),
     "divergent positive": ("inf", "inf", 21, True),
     "divergent negative": ("-inf", "inf", 21, True),
     "breakpoint finite": ("0x1.0e26809d49518p+3", "0x1.2049aed6173d1p-66", 75, False),
-    "breakpoint mapped": ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
-    "breakpoint reflected": ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
+    "breakpoint mapped": ("0x1.22a555477f039p+0", "0x1.da203892fe6d5p-42", 181, False),
+    "breakpoint reflected": ("0x1.22a555477f039p+0", "0x1.da203892fe6d5p-42", 181, False),
     "split in four": ("0x1.518c5de711dacp+1", "0x1.f8c7c96783232p-34", 960, False),
-    "hairline singular": ("0x1.8000000000000p-51", "0x0.0p+0", 45, False),
+    "hairline singular": ("0x1.ce5c32f86d844p-51", "0x1.1646afb2158f8p-52", 60, False),
     "empty": ("0x0.0p+0", "0x0.0p+0", 0, False),
 }
+# The same members in one batch.  Its rows sit elsewhere in the matrix
+# products of the panel rule, which may round them differently: "reflected"
+# differs from its pin alone in the last bit of its error.
 PINNED_BATCH = [
     ("0x1.35e863514d48ap-4", "0x1.11a6f9e1d00fdp-68", 60, False),
-    ("0x1.5555555555555p+1", "0x1.cb3ed029e652ep-43", 150, False),
-    ("0x1.11111111110e8p+0", "0x1.cc3038af4200fp-44", 330, False),
-    ("0x1.aaaaaaaaaaaa9p+0", "0x1.97b930fc8ef5ep-44", 166, False),
-    ("0x1.0000000000000p-1", "0x1.78aa90ff02883p-46", 166, False),
+    ("0x1.5555555555557p+1", "0x1.8698badd797ffp-45", 60, False),
+    ("0x1.1111111111114p+0", "0x1.205ce53f5f805p-45", 60, False),
+    ("0x1.aaaaaaaaaaaabp+0", "0x1.35208823f598fp-46", 76, False),
+    ("0x1.0000000000000p-1", "0x1.52797c4d29fd2p-34", 106, False),
     ("inf", "inf", 21, True),
     ("-inf", "inf", 21, True),
     ("0x1.0e26809d49518p+3", "0x1.2049aed6173d1p-66", 75, False),
-    ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
-    ("0x1.5e2d58d8b3bcep+0", "0x1.de5a60ef104fdp-42", 181, False),
+    ("0x1.22a555477f039p+0", "0x1.da203892fe6d5p-42", 181, False),
+    ("0x1.22a555477f039p+0", "0x1.da203892fe6d5p-42", 181, False),
     ("0x1.518c5de711dacp+1", "0x1.f8c7c96783232p-34", 960, False),
-    ("0x1.8000000000000p-51", "0x0.0p+0", 45, False),
+    ("0x1.ce5c32f86d844p-51", "0x1.1646afb2158f8p-52", 60, False),
     ("0x0.0p+0", "0x0.0p+0", 0, False),
 ]
 
@@ -523,8 +589,9 @@ PINNED_BATCH = [
 # alone and after a regular member in one batch.
 PINNED_FAILURES = [
     (lambda x: np.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, np.inf, {}, 1e-13, 500),
-    (lambda x: x**-0.5 / (1.0 - np.log(x)), 0.0, 1.0, {"singular_lower": True}, 1e-12,
-     10**6),
+    # An interior singularity that no breakpoint declares: bisection
+    # barely reduces its panels' errors, so they reach the noise floor.
+    (lambda x: abs(x - 1.0 / np.pi) ** -0.9, 0.0, 1.0, {}, 1e-10, 10**6),
     (lambda x: 1.0 / x, 0.0, 1.0, {"singular_lower": True}, 1e-10, 10**6),
     (lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, {}, 1e-10, 10**6),
 ]
@@ -532,11 +599,11 @@ PINNED_ERRORS = [
     ("EvaluationBudgetError",
      "evaluation budget of 500 points exhausted"),
     ("EvaluationBudgetError",
-     "tolerance unreachable: residual error 2.044e-09 cannot be reduced by further subdivision"),
+     "tolerance unreachable: residual error 5.922e-06 cannot be reduced by further subdivision"),
     ("DivergenceUndecidedError",
      "cannot classify singular lower endpoint: local exponent too close to -1"),
     ("EvaluationError",
-     "integrand non-finite at interior point x=np.float64(0.5010680786098984)"),
+     "integrand non-finite at interior point x=0.5010680786098984"),
 ]
 
 
