@@ -86,8 +86,8 @@ def calls() -> list[tuple[str, list[str]]]:
                                 "--claims", "sum_bound"]),
         ("readme-mc", ["mc", "--dist", EXP1, "--measure", "weighted_extropy",
                        "--n", "1000000", "--seed", "42"]),
-        # The README draws 10^6 gamma samples; their quantile bisection takes
-        # seconds, so the pinned call draws 2 * 10^4.
+        # The README draws 10^6 gamma samples, about a second of quantile
+        # iterations, so the pinned call draws 2 * 10^4.
         ("readme-mc-gamma", ["mc", "--dist", GAMMA, "--n", "20000", "--seed", "0"]),
         ("readme-curve-gamma", ["curve", "--dist", GAMMA, "--measure",
                                 "dynamic_survival_extropy", "--format", "csv"]),
@@ -123,6 +123,12 @@ def calls() -> list[tuple[str, list[str]]]:
         ("bivariate-tol", ["bivariate", "--dist", '{"family":"bivariate_beta","params":'
                            '{"alpha":0.9,"beta":1.5,"gamma":2}}', "--method", "quadrature",
                            "--tol", "1e-4"]),
+        # Shapes whose complete beta functions underflow when squared.
+        ("measure-beta-large-shapes", ["measure", "--dist", '{"family":"beta","params":'
+                                       '{"alpha":300,"beta":300}}', "--measure",
+                                       "weighted_extropy"]),
+        ("bivariate-beta-large-shapes", ["bivariate", "--dist", '{"family":"bivariate_beta",'
+                                         '"params":{"alpha":150,"beta":150,"gamma":150}}']),
         ("exit2-invalid-json", ["measure", "--dist", "{not json", "--measure", "extropy"]),
         ("exit2-unknown-family", ["measure", "--dist", '{"family":"weibull","params":{}}',
                                   "--measure", "extropy"]),

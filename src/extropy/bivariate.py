@@ -34,6 +34,7 @@ from .distributions import (
     _require_finite,
     _spec_params,
     beta3,
+    log_beta,
     make_distribution,
 )
 from .measures import extropy, weighted_extropy
@@ -127,15 +128,19 @@ def bivariate_beta(alpha: float, beta: float, gamma: float) -> BivariateDistribu
         hi = p * (c - 1.0)
         return lo, hi
 
+    # The closed forms divide by norm**2, which underflows for large shapes:
+    # they are formed from log-beta differences.
+    lnorm2 = 2.0 * log_beta(a, b, c)
     closed: dict[str, float] = {}
     if min(a, b, c) > 0.5:
-        closed["bivariate_extropy"] = beta3(2 * a - 1, 2 * b - 1, 2 * c - 1) / (4 * norm**2)
+        closed["bivariate_extropy"] = 0.25 * math.exp(
+            log_beta(2 * a - 1, 2 * b - 1, 2 * c - 1) - lnorm2)
     else:
         closed["bivariate_extropy"] = math.inf
     if min(b, c) > 0.5:
-        closed["bivariate_weighted_extropy"] = (
-            beta3(2 * a, 2 * b, 2 * c - 1) + beta3(2 * a + 1, 2 * b - 1, 2 * c - 1)
-        ) / (4 * norm**2)
+        closed["bivariate_weighted_extropy"] = 0.25 * (
+            math.exp(log_beta(2 * a, 2 * b, 2 * c - 1) - lnorm2)
+            + math.exp(log_beta(2 * a + 1, 2 * b - 1, 2 * c - 1) - lnorm2))
     else:
         closed["bivariate_weighted_extropy"] = math.inf
 

@@ -10,10 +10,10 @@ the scale, beta(alpha, beta), piecewise(weights) with unit-width cells on
 [0, n), pareto(shape, scale) with hazard shape/t, and tabulated densities
 given as an (x, f) grid, linearly interpolated and renormalized.
 
-The gamma and beta cdf, sf and quantile are scipy's regularized incomplete
-gamma and beta functions.  ``scipy.special`` is imported on the first such
-evaluation, not with this module: building a member, its pdf and its
-closed forms never load scipy.
+The gamma and beta cdf and sf are the regularized incomplete gamma and
+beta functions of :mod:`extropy.incomplete`, imported on the first such
+evaluation, not with this module.  Their quantiles are a bracketed Newton
+iteration; the other families invert their cdf in closed form.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "ValidationError",
     "UnivariateDistribution",
     "log_gamma",
+    "log_beta",
     "beta2",
     "beta3",
     "exponential",
@@ -56,23 +57,31 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def log_beta(*shapes: float) -> float:
+    """log G(a)G(b).../G(a+b+...), the log of the complete beta function of
+    two or three shapes; finite where the function itself underflows."""
+    total = lg = 0.0
+    for v in shapes:
+        total += v
+        lg += math.lgamma(v)
+    return lg - math.lgamma(total)
+
+
 def beta2(a: float, b: float) -> float:
     """Complete beta function B(a, b)."""
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return math.exp(log_beta(a, b))
 
 
 def beta3(a: float, b: float, c: float) -> float:
     """Three-parameter complete beta function G(a)G(b)G(c)/G(a+b+c)."""
-    return math.exp(math.lgamma(a) + math.lgamma(b) + math.lgamma(c)
-                    - math.lgamma(a + b + c))
+    return math.exp(log_beta(a, b, c))
 
 
 def _special():
-    """``scipy.special``, imported on the first gamma or beta cdf, sf or
-    quantile evaluation so that a process that never makes one does not
-    load scipy."""
-    import scipy.special
-    return scipy.special
+    """:mod:`extropy.incomplete`, imported on the first gamma or beta cdf,
+    sf or quantile evaluation."""
+    from . import incomplete
+    return incomplete
 
 
 # -- catalog type ------------------------------------------------------------
@@ -167,18 +176,76 @@ def _require_finite(family: str, **params) -> None:
         raise ValidationError(f"{family} requires finite {', '.join(bad)}")
 
 
-def _quantile_by_bisection(cdf, lo: float, hi: float, p, tol: float = 1e-12):
-    """Vectorized bisection of cdf(x) = p on [lo, hi]."""
+def _quantile_by_newton(p, tails, pdf, support, start):
+    """Vectorised, bracketed Newton solution of cdf(x) = p.
+
+    Below p = 1/2 it solves log cdf(x) = log p, above it log sf(x) =
+    log(1 - p), with 1 - p exact there, so both tails keep their relative
+    accuracy.  Newton runs on the log of the distance from x to the
+    support edge nearer the first iterate, so that a power-law tail is
+    solved in about one step and no step crosses the edge; the distance
+    itself is kept, so that a tiny quantile keeps its relative precision.
+    ``tails(x)`` gives (cdf, sf), ``start(p)`` the first x, inside
+    ``support``.  Each evaluation tightens a bracket of the distance, and a
+    step that leaves it takes the bracket's geometric mean instead (or
+    moves up by a factor e while it is open above).  An element stops
+    when its step is below 1e-10 of the distance: the next would be about
+    the square of that.  quantile(0) and quantile(1) are the support edges.
+    """
     p = np.asarray(p, dtype=float)
-    a = np.full(p.shape, lo)
-    b = np.full(p.shape, hi)
-    iters = max(1, int(math.ceil(math.log2(max((hi - lo) / tol, 2.0)))))
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        below = cdf(m) < p
-        a = np.where(below, m, a)
-        b = np.where(below, b, m)
-    return 0.5 * (a + b)
+    lo, hi = support
+    out = np.where(p <= 0.0, lo, np.where(p >= 1.0, hi, np.nan)).ravel()
+    idx = np.flatnonzero((p > 0.0) & (p < 1.0))
+    pv = p.ravel()[idx]
+    upper = pv > 0.5
+    target = np.where(upper, 1.0 - pv, pv)
+    with np.errstate(all="ignore"):
+        x = start(pv)
+        # x = edge + sign * dist, from the edge nearer the first iterate
+        flip = (x > 0.5 * (lo + hi)) & math.isfinite(hi)
+        edge = np.where(flip, hi, lo)
+        sign = np.where(flip, -1.0, 1.0)
+        dist = sign * (x - edge)
+        # The bracket of dist, from the least positive float: a quantile
+        # below it rounds to the edge.
+        below = np.full(dist.shape, 5e-324)
+        above = np.full(dist.shape, hi - lo)
+        dist = np.where((dist > 0.0) & (dist < above), dist, 0.5 * np.minimum(above, 2.0))
+        orient = np.where(upper, -sign, sign)
+        for _ in range(100):  # far more than a bracketed Newton needs
+            if not idx.size:
+                break
+            x = edge + sign * dist
+            c, s = tails(x)
+            v = np.where(upper, s, c)
+            g = np.log(v / target) * orient  # > 0: dist too large
+            below = np.where(g < 0.0, dist, below)
+            above = np.where(g > 0.0, dist, above)
+            new = dist * np.exp(-g * v / (dist * pdf(x)))
+            inside = (new >= below) & (new <= above) & (new < np.inf)
+            if not inside.all():
+                new = np.where(inside, new,
+                               np.where(np.isinf(above), below * math.e,
+                                        np.exp(0.5 * (np.log(below) + np.log(above)))))
+            new = np.where(g == 0.0, dist, new)
+            done = abs(new - dist) <= 1e-10 * dist
+            if done.any():
+                out[idx[done]] = (edge + sign * new)[done]
+                keep = ~done
+                idx, upper, target, edge, sign, orient, new, below, above = (
+                    idx[keep], upper[keep], target[keep], edge[keep], sign[keep],
+                    orient[keep], new[keep], below[keep], above[keep])
+            dist = new
+    out[idx] = edge + sign * dist
+    return out.reshape(p.shape)
+
+
+def _normal_start(p):
+    """Numerical Recipes' rational approximation of the standard normal
+    deviate of p (negative below 1/2)."""
+    t = np.sqrt(-2.0 * np.log(np.where(p < 0.5, p, 1.0 - p)))
+    z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+    return np.where(p < 0.5, z, -z)
 
 
 # -- families ----------------------------------------------------------------
@@ -265,19 +332,28 @@ def gamma_dist(alpha: float, beta: float) -> UnivariateDistribution:
         xs = np.where(pos, x, 1.0)
         return np.where(pos, np.exp((al - 1.0) * np.log(xs) - xs / sc - lognorm), 0.0)
 
-    def cdf(x):
+    def tails(x):
         x = np.asarray(x, dtype=float)
-        return _special().gammainc(al, np.maximum(x, 0.0) / sc)
+        return _special().gamma_tails(al, np.maximum(x, 0.0) / sc)
+
+    def cdf(x):
+        return tails(x)[0]
 
     def sf(x):
-        x = np.asarray(x, dtype=float)
-        return _special().gammaincc(al, np.maximum(x, 0.0) / sc)
+        return tails(x)[1]
+
+    def start(p):
+        # Numerical Recipes 3rd ed., invgammp: Wilson-Hilferty above a = 1,
+        # the two tails' leading terms below.
+        if al > 1.0:
+            z = _normal_start(p)
+            x = al * (1.0 - 1.0 / (9.0 * al) + z / (3.0 * math.sqrt(al))) ** 3
+            return sc * np.maximum(x, 1e-3)
+        t = 1.0 - al * (0.253 + al * 0.12)
+        return sc * np.where(p < t, (p / t) ** (1.0 / al), 1.0 - np.log1p(-(p - t) / (1.0 - t)))
 
     def quantile(p):
-        hi = sc * (al + 1.0)
-        while float(_special().gammainc(al, hi / sc)) < 1.0 - 1e-15:
-            hi *= 2.0
-        return _quantile_by_bisection(cdf, 0.0, hi, p)
+        return _quantile_by_newton(p, tails, pdf, (0.0, math.inf), start)
 
     # J^w(gamma) = -Gamma(2a) / (2**(2a+1) Gamma(a)**2), free of the scale.
     jw = -math.exp(math.lgamma(2 * al) - (2 * al + 1) * math.log(2.0)
@@ -296,7 +372,7 @@ def beta_dist(alpha: float, beta: float) -> UnivariateDistribution:
         raise ValidationError("beta requires beta > 0")
     _require_finite("beta", alpha=alpha, beta=beta)
     al, be = float(alpha), float(beta)
-    logb = math.lgamma(al) + math.lgamma(be) - math.lgamma(al + be)
+    logb = log_beta(al, be)
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -305,20 +381,38 @@ def beta_dist(alpha: float, beta: float) -> UnivariateDistribution:
         lp = (al - 1.0) * np.log(xs) + (be - 1.0) * np.log1p(-xs) - logb
         return np.where(inside, np.exp(lp), 0.0)
 
-    def cdf(x):
+    def tails(x):
         x = np.asarray(x, dtype=float)
-        return _special().betainc(al, be, _clip(x, 0.0, 1.0))
+        return _special().beta_tails(al, be, _clip(x, 0.0, 1.0))
+
+    def cdf(x):
+        return tails(x)[0]
 
     def sf(x):
-        x = np.asarray(x, dtype=float)
-        return _special().betainc(be, al, _clip(1.0 - x, 0.0, 1.0))
+        return tails(x)[1]
+
+    def start(p):
+        # Numerical Recipes 3rd ed., invbetai.
+        if al >= 1.0 and be >= 1.0:
+            z = _normal_start(p)
+            lam = (z * z - 3.0) / 6.0
+            h = 2.0 / (1.0 / (2.0 * al - 1.0) + 1.0 / (2.0 * be - 1.0))
+            w = (-z * np.sqrt(lam + h) / h - (1.0 / (2.0 * be - 1.0) - 1.0 / (2.0 * al - 1.0))
+                 * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+            return al / (al + be * np.exp(2.0 * w))
+        t = math.exp(al * math.log(al / (al + be))) / al
+        u = math.exp(be * math.log(be / (al + be))) / be
+        w = t + u
+        return np.where(p < t / w, (al * w * p) ** (1.0 / al),
+                        1.0 - (be * w * (1.0 - p)) ** (1.0 / be))
 
     def quantile(p):
-        return _quantile_by_bisection(cdf, 0.0, 1.0, p)
+        return _quantile_by_newton(p, tails, pdf, (0.0, 1.0), start)
 
-    # Divergent weighted extropy on the closed interval beta <= 1/2.
+    # Divergent weighted extropy on the closed interval beta <= 1/2; from
+    # logarithms, as B(a, b)**2 underflows for large shapes.
     if be > 0.5:
-        jw = -beta2(2 * al, 2 * be - 1) / (2.0 * beta2(al, be) ** 2)
+        jw = -0.5 * math.exp(log_beta(2 * al, 2 * be - 1) - 2.0 * logb)
     else:
         jw = -math.inf
     return UnivariateDistribution(
@@ -441,7 +535,18 @@ def tabulated(grid) -> UnivariateDistribution:
         return 1.0 - cdf(q)
 
     def quantile(p):
-        return _quantile_by_bisection(cdf, float(x[0]), float(x[-1]), p)
+        # cdf is cum[i] + f[i] d + slope d**2 / 2 in cell i: solve it for
+        # d with the root that does not cancel.  A knot's cum gives d = 0;
+        # p = 0 and 1 give the support edges.
+        p = np.asarray(p, dtype=float)
+        i = _clip(np.searchsorted(cum, p, side="right") - 1, 0, x.size - 2)
+        r = p - cum[i]
+        slope = (f[i + 1] - f[i]) / (x[i + 1] - x[i])
+        root = f[i] + np.sqrt(np.maximum(f[i] * f[i] + 2.0 * slope * r, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(r > 0.0, 2.0 * r / root, 0.0)
+        return np.where(p <= 0.0, x[0], np.where(p >= 1.0, x[-1],
+                                                 _clip(x[i] + d, x[i], x[i + 1])))
 
     return UnivariateDistribution(
         family="tabulated", params={"n_knots": int(x.size)},

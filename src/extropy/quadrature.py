@@ -468,6 +468,36 @@ def _gauss_jacobi(n: int, p) -> tuple[np.ndarray, np.ndarray]:
     return t, 2.0 ** (1.0 + p) / (1.0 + p) * v[:, 0, :] ** 2
 
 
+# Gauss-Jacobi tables by exponent, kept across engine calls: a table built
+# alone is bit-identical to its row of a batch, so a result does not depend
+# on which calls came first.  Oldest entries go first beyond _TABLES_KEPT.
+_TABLES: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+_TABLES_KEPT = 512
+
+
+def _tables(exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes (K, 15), matrix (K, 15, 2)) of :class:`_Weights` for K
+    distinct exponents, from ``_TABLES`` where present."""
+    new = [p for p in exponent.tolist() if p not in _TABLES]
+    if new:
+        t10, w10 = _gauss_jacobi(10, new)
+        t5, w5 = _gauss_jacobi(5, new)
+        # On (0, 1) the weights are 2**-(1+p) times those on (-1, 1).
+        nodes = 0.5 * (1.0 + np.concatenate([t10, t5], axis=1))
+        scale = 2.0 ** -(1.0 + np.array(new))[:, None]
+        matrix = np.zeros((len(new), 15, 2))
+        matrix[:, :10, 0] = scale * w10
+        matrix[:, 10:, 1] = scale * w5
+        for k, p in enumerate(new):
+            _TABLES[p] = (nodes[k].copy(), matrix[k].copy())
+    if len(new) < exponent.size:
+        rows = [_TABLES[p] for p in exponent.tolist()]
+        nodes, matrix = np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    while len(_TABLES) > _TABLES_KEPT:  # after the lookup, which may need the oldest
+        del _TABLES[next(iter(_TABLES))]
+    return nodes, matrix
+
+
 class _Weights:
     """The weighted end panels of one engine call.
 
@@ -479,7 +509,7 @@ class _Weights:
     so that a row of values divided by s**p times the matrix gives both
     estimates of the integral.  One table per distinct ``exponent``;
     ``group`` (M, 2) indexes it per member and side (-1 where the end is
-    not weighted).  The tables live as long as the call.
+    not weighted).  The tables come from :func:`_tables`.
     """
 
     def __init__(self, exponent: np.ndarray):
@@ -487,14 +517,7 @@ class _Weights:
         self.exponent, group = np.unique(exponent[weighted], return_inverse=True)
         self.group = np.full(exponent.shape, -1)
         self.group[weighted] = group
-        t10, w10 = _gauss_jacobi(10, self.exponent)
-        t5, w5 = _gauss_jacobi(5, self.exponent)
-        # On (0, 1) the weights are 2**-(1+p) times those on (-1, 1).
-        self.nodes = 0.5 * (1.0 + np.concatenate([t10, t5], axis=1))
-        scale = 2.0 ** -(1.0 + self.exponent)[:, None]
-        self.matrix = np.zeros((self.exponent.size, 15, 2))
-        self.matrix[:, :10, 0] = scale * w10
-        self.matrix[:, 10:, 1] = scale * w5
+        self.nodes, self.matrix = _tables(self.exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,16 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 import extropy
 from extropy import MEASURE_IDS
 from extropy.distributions import (
     ValidationError,
-    _quantile_by_bisection,
     beta2,
     beta3,
     beta_dist,
@@ -271,26 +270,85 @@ def test_piecewise_any_weights_normalize(ws):
     np.testing.assert_allclose(d.cdf(q), [0.25, 0.5, 0.75], atol=1e-9)
 
 
+EPS = np.finfo(float).eps
+
+
+def _mp_gamma_tails(a, x):
+    """P(a, x) and Q(a, x) at 40 digits."""
+    with mpmath.workdps(40):
+        return (float(mpmath.gammainc(a, 0, x, regularized=True)),
+                float(mpmath.gammainc(a, x, mpmath.inf, regularized=True)))
+
+
+def _mp_beta_tails(a, b, x):
+    """I_x(a, b) and I_{1-x}(b, a) at 40 digits, 1 - x taken exactly."""
+    with mpmath.workdps(40):
+        return (float(mpmath.betainc(a, b, 0, x, regularized=True)),
+                float(mpmath.betainc(b, a, 0, 1 - mpmath.mpf(x), regularized=True)))
+
+
+def _assert_relative(got, want, rtol=1e-14):
+    """Relative agreement wherever the reference is at least 1e-300."""
+    got, want = np.asarray(got), np.asarray(want)
+    normal = want >= 1e-300
+    np.testing.assert_allclose(got[normal], want[normal], rtol=rtol, atol=0.0)
+    assert np.all(got[~normal] <= 1e-290)
+
+
+def _assert_quantile(d, p):
+    """|cdf(q) - p| <= 4 eps max(p, q pdf(q)), plus the cdf's own error
+    (1e-14 of the tail solved), or within the cdf's step between q and a
+    neighbouring float where that is coarser."""
+    q = d.quantile(p)
+    c = d.cdf(q)
+    grain = np.maximum(abs(d.cdf(np.nextafter(q, np.inf)) - c),
+                       abs(d.cdf(np.nextafter(q, -np.inf)) - c))
+    tol = 4 * EPS * np.maximum(p, q * d.pdf(q)) + 1e-14 * np.minimum(p, 1.0 - p)
+    assert np.all(abs(c - p) <= np.maximum(tol, grain)), (d.label, p, q)
+
+
 class TestScipyBoundary:
-    """scipy serves only the gamma and beta cdf, sf and quantile, and is
-    imported on the first of those evaluations."""
+    """No library or CLI path loads scipy: the gamma and beta cdf, sf and
+    quantile come from extropy.incomplete, checked against mpmath at 40
+    digits."""
 
     def test_start_up_does_not_load_scipy(self):
         script = textwrap.dedent("""
             import contextlib, io, json, sys
-            import extropy, extropy.cli
-            from extropy.distributions import beta_dist, gamma_dist
-            from extropy.measures import weighted_extropy
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = extropy.cli.main([
-                    "measure", "--dist", '{"family":"exponential","params":{"rate":1}}',
-                    "--measure", "weighted_extropy,extropy"])
-            weighted_extropy(gamma_dist(2.0, 1.0))
-            weighted_extropy(beta_dist(2.0, 1.5))
-            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-            gamma_dist(2.0, 1.0).cdf(1.0)
-            print(json.dumps({"code": code, "loaded": loaded,
-                              "special": "scipy.special" in sys.modules}))
+            sys.modules["scipy"] = None  # any import of scipy raises
+            import numpy as np
+            import extropy.cli
+            from extropy.distributions import make_distribution
+            specs = [
+                {"family": "exponential", "params": {"rate": 1}},
+                {"family": "uniform", "params": {"a": 0.5, "b": 3}},
+                {"family": "gamma", "params": {"alpha": 2, "beta": 1}},
+                {"family": "beta", "params": {"alpha": 0.7, "beta": 0.8}},
+                {"family": "piecewise", "params": {"weights": [0.3, 0.7]}},
+                {"family": "pareto", "params": {"shape": 2, "scale": 1}},
+                {"family": "tabulated", "grid": [[0, 0.5], [1, 1.5], [2, 0.5]]},
+            ]
+            for spec in specs:
+                d = make_distribution(spec)
+                q = d.quantile(np.array([0.1, 0.5, 0.9]))
+                d.cdf(q), d.sf(q), d.sample(np.random.default_rng(0), 100)
+            gamma = json.dumps(specs[2])
+            argvs = [
+                ["measure", "--dist", gamma, "--measure", "residual_extropy", "--t", "1"],
+                ["curve", "--dist", gamma, "--measure", "past_extropy", "--grid", "0.5:2:3"],
+                ["bivariate", "--dist",
+                 '{"family":"bivariate_beta","params":{"alpha":1,"beta":1,"gamma":1}}'],
+                ["transform", "--dist", gamma, "--transform", "pit", "--t", "0.5"],
+                ["claims", "--dist", gamma, "--claims", "residual_bound", "--grid", "0.5:2:2"],
+                ["mc", "--dist", gamma, "--n", "1000", "--seed", "0"],
+            ]
+            codes = []
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(extropy.cli.main(argv))
+            loaded = sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
+            print(json.dumps({"codes": codes, "loaded": loaded}))
             """)
         src = str(Path(extropy.__file__).resolve().parents[1])
         env = {**os.environ,
@@ -298,30 +356,138 @@ class TestScipyBoundary:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"code": 0, "loaded": [], "special": True}
+        assert json.loads(proc.stdout) == {"codes": [0] * 6, "loaded": []}
 
     @pytest.mark.parametrize("al, sc", [(0.3, 1.0), (2.0, 3.0), (17.5, 0.02)])
-    def test_gamma_is_scipy_bit_for_bit(self, al, sc):
+    def test_gamma_matches_mpmath(self, al, sc):
         d = gamma_dist(al, sc)
         # deep sf tails included: x/sc up to 700, where sf is ~1e-300
         x = np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 60)]) * sc
-        assert np.array_equal(d.cdf(x), special.gammainc(al, x / sc))
-        assert np.array_equal(d.sf(x), special.gammaincc(al, x / sc))
-        hi = sc * (al + 1.0)
-        while float(special.gammainc(al, hi / sc)) < 1.0 - 1e-15:
-            hi *= 2.0
+        want = np.array([_mp_gamma_tails(al, v) for v in x / sc])
+        _assert_relative(d.cdf(x), want[:, 0])
+        _assert_relative(d.sf(x), want[:, 1])
         p = np.linspace(0.0, 1.0, 41)
-        assert np.array_equal(d.quantile(p), _quantile_by_bisection(
-            lambda m: special.gammainc(al, np.maximum(m, 0.0) / sc), 0.0, hi, p))
+        q = d.quantile(p)
+        assert q[0] == 0.0 and q[-1] == math.inf
+        _assert_quantile(d, p[1:-1])
 
     @pytest.mark.parametrize("al, be", [(0.5, 0.5), (4.04927, 0.712109), (30.0, 2.0)])
-    def test_beta_is_scipy_bit_for_bit(self, al, be):
+    def test_beta_matches_mpmath(self, al, be):
         d = beta_dist(al, be)
         edge = np.geomspace(1e-15, 0.5, 30)
         x = np.concatenate([[0.0], edge, 1.0 - edge[::-1], [1.0]])
-        assert np.array_equal(d.cdf(x), special.betainc(al, be, x))
-        assert np.array_equal(d.sf(x), special.betainc(be, al, 1.0 - x))
+        want = np.array([_mp_beta_tails(al, be, v) for v in x])
+        _assert_relative(d.cdf(x), want[:, 0])
+        _assert_relative(d.sf(x), want[:, 1])
         p = np.linspace(0.0, 1.0, 41)
-        assert np.array_equal(d.quantile(p), _quantile_by_bisection(
-            lambda m: special.betainc(al, be, np.clip(m, 0.0, 1.0)), 0.0, 1.0, p))
+        q = d.quantile(p)
+        assert q[0] == 0.0 and q[-1] == 1.0
+        _assert_quantile(d, p[1:-1])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(math.log(0.05), math.log(50.0)), st.floats(-12.0, 3.0))
+    def test_gamma_tails_any_shape(self, log_a, log10_x):
+        a, x = math.exp(log_a), 10.0 ** log10_x * math.exp(log_a)
+        d = gamma_dist(a, 1.0)
+        want = _mp_gamma_tails(a, x)
+        _assert_relative([d.cdf(x), d.sf(x)], want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(math.log(0.05), math.log(50.0)), st.floats(math.log(0.05), math.log(50.0)),
+           st.floats(-12.0, 12.0))
+    def test_beta_tails_any_shape(self, log_a, log_b, logit):
+        a, b = math.exp(log_a), math.exp(log_b)
+        x = 1.0 / (1.0 + 10.0 ** -logit)
+        d = beta_dist(a, b)
+        want = _mp_beta_tails(a, b, x)
+        _assert_relative([d.cdf(x), d.sf(x)], want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.floats(math.log(0.05), math.log(50.0)), st.floats(math.log(0.05), math.log(50.0)),
+           st.floats(-15.0, 15.0))
+    def test_quantiles_any_shape(self, log_a, log_b, logit):
+        p = np.array([1.0 / (1.0 + 10.0 ** -logit)])
+        _assert_quantile(gamma_dist(math.exp(log_a), 1.0), p)
+        _assert_quantile(beta_dist(math.exp(log_a), math.exp(log_b)), p)
+
+    def test_quantile_below_the_least_float(self):
+        # P(0.3, x) = 1e-300 at x ~ 1e-1000: the quantile rounds to the least
+        # positive float, in a bounded number of steps.
+        for d in (gamma_dist(0.3, 2.0), beta_dist(0.05, 50.0)):
+            assert d.quantile(np.array([1e-300, 1e-250])).tolist() == [5e-324, 5e-324]
+
+    def test_small_and_large_calls_agree_bit_for_bit(self):
+        from extropy.incomplete import _SMALL, beta_tails, gamma_tails
+        rng = np.random.default_rng(3)
+        for a in (0.06, 0.7, 4.5, 45.0):
+            x = np.concatenate([rng.uniform(0.0, 2 * a + 4, 160), np.geomspace(1e-9, 800.0, 40)])
+            assert x.size > _SMALL
+            whole = gamma_tails(a, x)
+            one = [gamma_tails(a, v) for v in x]
+            for k in (0, 1):
+                assert np.array_equal(whole[k], [o[k] for o in one])
+            for b in (0.06, 1.3, 40.0):
+                xb = np.concatenate([rng.uniform(0.0, 1.0, 160), np.geomspace(1e-12, 0.5, 20),
+                                     1.0 - np.geomspace(1e-12, 0.5, 20)])
+                assert xb.size > _SMALL
+                whole = beta_tails(a, b, xb)
+                one = [beta_tails(a, b, v) for v in xb]
+                for k in (0, 1):
+                    assert np.array_equal(whole[k], [o[k] for o in one])
+
+
+class TestClosedFormQuantiles:
+    def test_tabulated_quantile_inverts_cdf(self):
+        d = tabulated([[0, 0.0], [1, 2.0], [1.5, 2.0], [3, 0.5], [4, 0.0]])
+        p = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_allclose(d.cdf(d.quantile(p)), p, rtol=0, atol=1e-15)
+
+    def test_tabulated_knot_quantile_is_exact(self):
+        knots = [0.5, 1.0, 1.5, 3.0, 4.0]
+        d = tabulated([[k, f] for k, f in zip(knots, [0.0, 2.0, 2.0, 0.5, 1.0])])
+        assert d.quantile(d.cdf(np.array(knots))).tolist() == knots
+        # a zero-density first cell: quantile(0) is still the support edge
+        d = tabulated([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+        assert d.quantile(np.array([0.0, 1.0])).tolist() == [0.0, 2.0]
+
+
+class TestLargeShapes:
+    """Closed forms that divide by a squared complete beta function, which
+    underflows here, are formed from log-beta differences; past Gamma's
+    overflow at 171 the incomplete functions keep their accuracy."""
+
+    @pytest.mark.parametrize("al, be", [(300.0, 300.0), (0.5, 400.0), (250.0, 3.0)])
+    def test_beta_tails(self, al, be):
+        d = beta_dist(al, be)
+        x = d.quantile(np.array([1e-12, 1e-3, 0.2, 0.5, 0.8, 0.999, 1.0 - 1e-12]))
+        want = np.array([_mp_beta_tails(al, be, v) for v in x])
+        _assert_relative(d.cdf(x), want[:, 0], rtol=1e-13)
+        _assert_relative(d.sf(x), want[:, 1], rtol=1e-13)
+
+    @pytest.mark.parametrize("al", [300.0, 2500.0])
+    def test_gamma_tails(self, al):
+        d = gamma_dist(al, 1.0)
+        x = al + math.sqrt(al) * np.array([-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0])
+        want = np.array([_mp_gamma_tails(al, v) for v in x])
+        _assert_relative(d.cdf(x), want[:, 0], rtol=1e-13)
+        _assert_relative(d.sf(x), want[:, 1], rtol=1e-13)
+
+    def test_beta_weighted_extropy(self):
+        d = beta_dist(300.0, 300.0)
+        with mpmath.workdps(40):
+            want = -mpmath.beta(600, 599) / (2 * mpmath.beta(300, 300) ** 2)
+        assert closed_form(d, "weighted_extropy") == pytest.approx(float(want), rel=1e-11)
+
+    def test_bivariate_beta(self):
+        a = b = c = 150.0
+        bd = bivariate_beta(a, b, c)
+
+        def b3(*s):
+            return mpmath.gamma(s[0]) * mpmath.gamma(s[1]) * mpmath.gamma(s[2]) / mpmath.gamma(sum(s))
+
+        with mpmath.workdps(40):
+            norm2 = b3(a, b, c) ** 2
+            j = b3(2 * a - 1, 2 * b - 1, 2 * c - 1) / (4 * norm2)
+            jw = (b3(2 * a, 2 * b, 2 * c - 1) + b3(2 * a + 1, 2 * b - 1, 2 * c - 1)) / (4 * norm2)
+        assert bd.closed_forms["bivariate_extropy"] == pytest.approx(float(j), rel=1e-11)
+        assert bd.closed_forms["bivariate_weighted_extropy"] == pytest.approx(float(jw), rel=1e-11)

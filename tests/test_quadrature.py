@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extropy import quadrature
 from extropy.bivariate import iterated_integral
 from extropy.quadrature import (
     DivergenceUndecidedError,
@@ -162,6 +163,56 @@ class TestGaussJacobi:
                 if k:
                     m = (2.0 ** (1.0 + p) - k * m) / (1.0 + p + k)
                 assert w[i] @ t[i] ** k == pytest.approx(m, rel=1e-12, abs=1e-14), (p, k)
+
+    def test_a_table_alone_is_its_row_of_a_batch(self):
+        ps = np.random.default_rng(5).uniform(-0.99, -0.01, 40)
+        for n in (5, 10):
+            t, w = _gauss_jacobi(n, ps)
+            for i, p in enumerate(ps):
+                ti, wi = _gauss_jacobi(n, [p])
+                assert np.array_equal(ti[0], t[i]) and np.array_equal(wi[0], w[i])
+
+
+class TestTableMemo:
+    """Gauss-Jacobi tables are built once per exponent across engine calls,
+    in a memo of bounded size."""
+
+    @staticmethod
+    def _count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m.shape[0])
+            return eigh(m)
+
+        monkeypatch.setattr(quadrature.np.linalg, "eigh", counted)
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        return calls
+
+    def test_tables_are_built_once_per_exponent(self, monkeypatch):
+        calls = self._count_eigh(monkeypatch)
+        g = Integrand(lambda x: x**-0.37, 0.0, 1.0, exponent_lower=-0.37)
+        first = integrate(g)
+        assert len(calls) == 2  # the 10- and the 5-point rule
+        assert integrate(g) == first
+        assert len(calls) == 2
+        integrate(Integrand(lambda x: x**-0.41, 0.0, 1.0, exponent_lower=-0.41))
+        assert len(calls) == 4
+
+    def test_memo_is_bounded(self, monkeypatch):
+        self._count_eigh(monkeypatch)
+        monkeypatch.setattr(quadrature, "_TABLES_KEPT", 8)
+        for p in np.linspace(-0.9, -0.1, 20):
+            integrate(Integrand(lambda x, p=p: x**p, 0.0, 1.0, exponent_lower=p))
+        assert len(quadrature._TABLES) == 8
+        assert list(quadrature._TABLES)[-1] == -0.1
+        # a call needing the oldest table and a new one, in a full memo
+        oldest = list(quadrature._TABLES)[0]
+        kept = quadrature._TABLES[oldest][0]
+        nodes, _ = quadrature._tables(np.array([-0.95, oldest]))
+        assert np.array_equal(nodes[1], kept)
+        assert len(quadrature._TABLES) == 8
 
 
 # x**-1/2 log(1/x) and x**-1/2 / (1 - log x) on (0, 1): their log factors
